@@ -3,10 +3,10 @@
 The search harness evaluates whole genome batches against one shared
 :class:`repro.search.evaluate.EvaluationContext` — one graph build and
 one :class:`~repro.sim.fast_engine.CompiledTopology` compile for the
-entire population, with the fast engine taking every mask-eligible
-candidate.  The naive alternative (what a straight-line implementation
-would do) rebuilds the graph, recompiles the topology and constructs a
-fresh context per candidate.
+entire population, with the fast engine scoring every candidate.  The
+naive alternative (what a straight-line implementation would do)
+rebuilds the graph, recompiles the topology and constructs a fresh
+context per candidate.
 
 Claim measured here: batched evaluation beats the naive loop by
 ≥ 1.2x on the same candidate population (a loose margin — the CI

@@ -29,7 +29,6 @@ import time
 from repro.analysis import render_table
 from repro.core.harmonic import completion_bound
 from repro.experiments import ExperimentSpec, SweepRunner
-from repro.experiments.persist import load_records
 from repro.experiments.results import RunResult
 from repro.store import JsonlStore, ShardedStore
 
@@ -97,7 +96,9 @@ def test_sweep_resume_after_interrupt(
         SweepRunner(
             GRID, workers=WORKERS, results_path=str(results_file)
         ).run()
-        reference = load_records(str(results_file))
+        reference = JsonlStore(
+            str(results_file), RunResult.from_dict
+        ).claim_keys()
 
         # Simulate a hard kill mid-run: keep the first half of the
         # records plus a torn final line (a write cut off mid-record).

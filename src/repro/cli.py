@@ -389,7 +389,6 @@ def cmd_search(args) -> int:
             verify=args.verify,
             store=_store_backend(args),
             flush_every=args.flush_every,
-            evaluator=args.evaluator,
         )
     except (ValueError, ImportError) as exc:
         raise SystemExit(str(exc))
@@ -704,8 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-rounds", type=int, default=None)
     run.add_argument(
         "--engine", choices=list(ENGINE_NAMES), default="reference",
-        help="execution engine (fast = bitmask fast path, vector = "
-        "NumPy lockstep; identical traces)",
+        help="execution engine (fast = bitmask fast path; identical "
+        "traces)",
     )
     run.add_argument(
         "--churn", default="none",
@@ -781,10 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--engine", choices=list(ENGINE_NAMES), default=None,
         help="execution engine for every task (overrides the spec "
-        "file's engines axis); vector runs each science cell's whole "
-        "seed list in NumPy lockstep (seed-dependent graph kinds get "
-        "one graph per lane) and silently uses the reference engine "
-        "only when NumPy is missing",
+        "file's engines axis)",
     )
     sweep.add_argument(
         "--events", action="store_true",
@@ -877,16 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--engine", choices=["auto", "reference", "fast"],
         default="auto",
-        help="sandbox evaluation engine: auto picks the fast engine "
+        help="evaluation engine: auto picks the fast engine "
         "(CR4 genomes included; reference forces the baseline)",
-    )
-    search.add_argument(
-        "--evaluator", choices=["sandbox", "lockstep"],
-        default="sandbox",
-        help="population-scoring backend: sandbox runs each candidate "
-        "alone (--workers parallelises), lockstep scores whole "
-        "batches as NumPy vector-engine lanes; scores are identical, "
-        "and --results files resume across backends",
     )
     search.add_argument(
         "--verify", action=argparse.BooleanOptionalAction, default=True,

@@ -42,9 +42,8 @@ class RunResult:
         total_transmissions: Sum of per-round sender counts.
         engine: The engine that actually executed the task
             (``"reference"`` or ``"fast"``) — informational only, since
-            the engines are trace-equivalent; a task requesting the fast
-            engine records ``"reference"`` when its combination was
-            ineligible and fell back.
+            the engines are trace-equivalent; a task keyed with the
+            legacy ``"vector"`` spelling records ``"fast"``.
         churn_kind: The fault-injection kind the task ran under
             (``"none"`` for failure-free runs).  A science axis, not
             bookkeeping: reports keep churn records out of the

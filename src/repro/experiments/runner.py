@@ -47,18 +47,12 @@ Invariants:
   signature of a hard kill mid-write — by skipping (and counting)
   what does not parse on load and starting the next append on a
   fresh line.
-* **Transparent fast paths** — the shared eligibility truth table
-  (:func:`repro.sim.fast_engine.mask_engine_eligible`) is all-yes:
-  every collision-rule/adversary combination, CR4 real resolvers
-  included, runs on the engine the spec requests.  The one remaining
-  downgrade is ``engine="vector"`` without NumPy, which silently uses
-  the reference engine; either way the trace, and therefore the
-  record, is the same (the engines are proven trace-equivalent).
-  Vector cells run their whole seed list through one
-  :func:`repro.sim.vector_engine.run_lockstep` call instead of a
-  per-seed loop — seed-independent cells share one graph and reach
-  matrix, seed-dependent kinds (``gnp``, ``gray-zone``) hand lockstep
-  one graph per lane — pure scheduling, same records.
+* **One production engine** — a task that asks for ``"reference"``
+  runs on the reference oracle; every other engine name (``"fast"``,
+  and the legacy key spelling ``"vector"`` that older result files
+  carry) runs on the fast bitmask engine.  The engines are proven
+  trace-equivalent, so only the record's ``engine`` field tells which
+  implementation ran.
 """
 
 from __future__ import annotations
@@ -93,25 +87,12 @@ from repro.experiments.spec import (
 from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import EngineConfig, StartMode, build_engine
-from repro.sim.fast_engine import (
-    CompiledTopology,
-    compile_topology,
-    fast_engine_eligible,
-)
+from repro.sim.fast_engine import CompiledTopology, compile_topology
 from repro.sim.trace import ExecutionTrace
 from repro.store import ResultStore, StoreHealth, open_store
 
-# repro.sim.vector_engine is imported lazily inside the functions that
-# need it: importing it pulls in NumPy, which reference/fast-only
-# sweeps (and every pool worker they spawn) should never pay for.
-
 #: Called after each finished task with (result, done_count, total).
 ProgressCallback = Callable[[RunResult, int, int], None]
-
-#: Max lanes per :func:`repro.sim.vector_engine.run_lockstep` call in
-#: the batched vector path (see `_execute_batch_lockstep`).
-_LOCKSTEP_LANES = 32
-
 
 class _WorkerStats:
     """Per-process heartbeat state: a clock and a cumulative tally."""
@@ -227,7 +208,7 @@ def _execute_on(
             else suggested_round_limit(task.algorithm, graph)
         )
     rule = CollisionRule[task.collision_rule]
-    engine_name = _route_engine(task.engine, rule, adversary)
+    engine_name = "reference" if task.engine == "reference" else "fast"
     # The churn schedule is built from the task's key-derived seed and
     # its *resolved* round cap, so rate-based schedules cover the whole
     # horizon and are reproducible from the spec alone.
@@ -252,27 +233,6 @@ def _execute_on(
     with current().span("engine_run"):
         trace = engine.run()
     return _result_from(task, graph, trace, engine_name)
-
-
-def _route_engine(engine_name: str, rule, adversary) -> str:
-    """Downgrade ineligible mask-engine requests to the reference engine.
-
-    Transparent by construction: the engines are proven
-    trace-equivalent, so the record is the same either way (only its
-    ``engine`` field tells which implementation ran).  Eligibility is
-    the shared truth table of
-    :func:`repro.sim.fast_engine.mask_engine_eligible` — all-yes since
-    the CR4 consult paths closed the last gap — so the only downgrade
-    left in practice is a vector request without NumPy.
-    """
-    if engine_name == "fast" and not fast_engine_eligible(rule, adversary):
-        return "reference"
-    if engine_name == "vector":
-        from repro.sim.vector_engine import vector_engine_eligible
-
-        if not vector_engine_eligible(rule, adversary):
-            return "reference"
-    return engine_name
 
 
 def _result_from(
@@ -324,22 +284,12 @@ def execute_batch(batch: CellBatch) -> List[RunResult]:
     (:func:`~repro.experiments.registry.graph_seed_dependent`), the
     graph is built, the round cap derived and the engine topology
     compiled exactly once for the whole batch; seed-dependent kinds
-    (``gnp``, ``gray-zone``) rebuild all three per seed.  Cells that
-    request ``engine="vector"`` run all seeds at once through the
-    lockstep matrix path (:func:`repro.sim.vector_engine.run_lockstep`)
-    — shared cells on one graph, seed-dependent cells with one graph
-    per lane; every other cell runs each seed through the unchanged
-    :func:`execute_task` pipeline.  Either way the returned records are
-    byte-identical to per-task execution (the engines are proven
-    trace-equivalent).
+    (``gnp``, ``gray-zone``) rebuild all three per seed.  Each seed then
+    runs through the unchanged :func:`execute_task` pipeline, so the
+    returned records are byte-identical to per-task execution.
     """
     telemetry = current()
     share = not graph_seed_dependent(batch.tasks[0].graph_kind)
-    if batch.tasks[0].engine == "vector":
-        lockstep = _execute_batch_lockstep(batch, share)
-        if lockstep is not None:
-            _heartbeat(telemetry, len(lockstep))
-            return lockstep
     graph: Optional[DualGraph] = None
     topology: Optional[CompiledTopology] = None
     default_cap: Optional[int] = None
@@ -361,139 +311,6 @@ def execute_batch(batch: CellBatch) -> List[RunResult]:
         results.append(_execute_on(task, graph, topology, default_cap))
     _heartbeat(telemetry, len(results))
     return results
-
-
-def _execute_batch_lockstep(
-    batch: CellBatch, share: bool
-) -> Optional[List[RunResult]]:
-    """Run a vector cell's whole seed list in one lockstep call.
-
-    ``share`` says the cell's graph kind is seed-independent: one graph
-    and one compiled topology then serve every lane.  Seed-dependent
-    cells build one graph per task — exactly the graphs
-    :func:`execute_task` would build — and hand lockstep the per-lane
-    sequence, with each task's round cap derived from its own graph.
-
-    Returns ``None`` when NumPy is missing (the caller then takes the
-    per-task path, whose :func:`_route_engine` downgrade produces the
-    identical records on the reference engine) or — defensively — when
-    a seed-dependent kind yields differing node counts across seeds,
-    which lockstep cannot interleave.  Per-seed adversaries, processes
-    and engine seeds are built exactly as :func:`execute_task` would,
-    so the lockstep records match per-task execution byte for byte.
-    """
-    from repro.sim.vector_engine import run_lockstep, vector_engine_eligible
-
-    tasks = batch.tasks
-    rule = CollisionRule[tasks[0].collision_rule]
-    # Probe eligibility with the first task's adversary alone — the
-    # table is shared cell-wide, so one instance decides for all and
-    # an ineligible cell (NumPy missing) builds no throwaway objects.
-    first_adversary = build_adversary(
-        tasks[0].adversary_kind,
-        seed=tasks[0].derived_seed,
-        **dict(tasks[0].adversary_params),
-    )
-    if not vector_engine_eligible(rule, first_adversary):
-        return None
-    telemetry = current()
-    if share:
-        first = tasks[0]
-        with telemetry.span("graph_build"):
-            shared_graph = build_graph(
-                first.graph_kind,
-                first.n,
-                seed=first.seed,
-                **dict(first.graph_params),
-            )
-        graphs = [shared_graph] * len(tasks)
-        with telemetry.span("topology_compile"):
-            topologies = [compile_topology(shared_graph)] * len(tasks)
-    else:
-        with telemetry.span("graph_build"):
-            graphs = [
-                build_graph(
-                    task.graph_kind,
-                    task.n,
-                    seed=task.seed,
-                    **dict(task.graph_params),
-                )
-                for task in tasks
-            ]
-        if len({graph.n for graph in graphs}) != 1:
-            return None  # lanes cannot interleave across node counts
-        with telemetry.span("topology_compile"):
-            topologies = [compile_topology(graph) for graph in graphs]
-    adversaries = [first_adversary] + [
-        build_adversary(
-            task.adversary_kind,
-            seed=task.derived_seed,
-            **dict(task.adversary_params),
-        )
-        for task in tasks[1:]
-    ]
-    default_cap: Optional[int] = None
-    process_lists = []
-    configs = []
-    for task, graph in zip(tasks, graphs):
-        process_lists.append(
-            make_processes(
-                task.algorithm, graph.n, **dict(task.algorithm_params)
-            )
-        )
-        max_rounds = task.max_rounds
-        if max_rounds is None:
-            if share:
-                if default_cap is None:
-                    default_cap = suggested_round_limit(
-                        task.algorithm, graph
-                    )
-                max_rounds = default_cap
-            else:
-                # Per-task graphs derive per-task caps, matching the
-                # per-task pipeline's derivation from each seed's graph.
-                max_rounds = suggested_round_limit(task.algorithm, graph)
-        configs.append(
-            EngineConfig(
-                collision_rule=rule,
-                start_mode=StartMode(task.start_mode),
-                max_rounds=max_rounds,
-                seed=task.derived_seed,
-                engine="vector",
-                # Per-lane schedules: lockstep shares only the rule,
-                # start mode and recording flag across lanes, so each
-                # lane carries exactly the schedule the per-task
-                # pipeline would build for it.
-                churn=build_churn(
-                    task.churn_kind,
-                    n=graph.n,
-                    rounds=max_rounds,
-                    seed=task.derived_seed,
-                    **dict(task.churn_params),
-                ),
-            )
-        )
-    # Bounded lane blocks: one lockstep call interleaves every lane's
-    # processes and RNG states each round, so very wide cells would
-    # trade all cache locality for matrix width.  Blocks are pure
-    # scheduling — each lane's trace is independent.
-    traces = []
-    with telemetry.span("engine_run"):
-        for lo in range(0, len(tasks), _LOCKSTEP_LANES):
-            hi = lo + _LOCKSTEP_LANES
-            traces.extend(
-                run_lockstep(
-                    graphs[lo:hi],
-                    process_lists[lo:hi],
-                    adversaries[lo:hi],
-                    configs[lo:hi],
-                    topology=topologies[lo:hi],
-                )
-            )
-    return [
-        _result_from(task, graph, trace, "vector")
-        for task, graph, trace in zip(tasks, graphs, traces)
-    ]
 
 
 class SweepRunner:

@@ -403,9 +403,16 @@ def _coerce_mode(entry) -> str:
     return value
 
 
+#: Engine spellings the ``engines`` axis accepts beyond
+#: :data:`~repro.sim.engine.ENGINE_NAMES`: ``"vector"`` names a deleted
+#: backend, kept so result files whose keys carry ``/eng-vector`` still
+#: resume by key.  The runner executes such tasks on the fast engine.
+_LEGACY_ENGINES = ("vector",)
+
+
 def _coerce_engine(entry) -> str:
     value = str(entry).lower()
-    if value not in ENGINE_NAMES:
+    if value not in ENGINE_NAMES and value not in _LEGACY_ENGINES:
         raise ValueError(
             f"unknown engine {entry!r}; known: {list(ENGINE_NAMES)}"
         )
@@ -414,6 +421,8 @@ def _coerce_engine(entry) -> str:
 
 def _coerce_seeds(entry) -> Tuple[int, ...]:
     if isinstance(entry, dict):
+        if "count" not in entry:
+            raise ValueError("seeds: missing 'count'")
         start = int(entry.get("start", 0))
         count = int(entry["count"])
         return tuple(range(start, start + count))
@@ -444,10 +453,10 @@ class ExperimentSpec:
     proven-bound limit (:func:`repro.core.runner.suggested_round_limit`).
 
     ``engines`` selects the execution engine implementation per task:
-    ``"reference"`` or ``"fast"`` (the bitmask engine, used when the
-    task's collision-rule/adversary combination is eligible and silently
-    downgraded to the reference engine otherwise — results are identical
-    either way).
+    ``"reference"`` (the oracle) or ``"fast"`` (the bitmask engine) —
+    results are identical either way, only the keys differ.  The legacy
+    spelling ``"vector"`` is accepted so old result files resume by key;
+    those tasks run on the fast engine.
     """
 
     name: str
@@ -654,13 +663,22 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ExperimentSpec":
-        """Build a spec from a JSON document, rejecting unknown fields."""
+        """Build a spec from a JSON document, rejecting unknown fields.
+
+        A missing required field (``name``, ``algorithms``, ``graphs``)
+        raises a ``ValueError`` naming it.
+        """
         unknown = sorted(set(doc) - set(cls._FIELDS))
         if unknown:
             raise ValueError(
                 f"unknown spec field(s) {unknown}; known: "
                 f"{list(cls._FIELDS)}"
             )
+        for required in ("name", "algorithms", "graphs"):
+            if required not in doc:
+                raise ValueError(
+                    f"missing required spec field {required!r}"
+                )
         return cls(
             name=doc["name"],
             algorithms=doc["algorithms"],

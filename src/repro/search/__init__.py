@@ -18,17 +18,14 @@ rule) cell::
     )
     print(result.best.objective)   # worst stall found, in rounds
 
-Candidates are scored through the standard engines — the fast bitmask
-engine per genome (sandbox backend) or whole populations as
-vector-engine lockstep lanes (``backend="lockstep"``) — fan out over
-worker processes, persist as JSON lines with resume-by-key, and the
-best genome replay-certifies through
+Candidates are scored one genome at a time on the fast bitmask engine
+and fan out over worker processes; scores persist as JSON lines with
+resume-by-key, and the best genome replay-certifies through
 :class:`~repro.adversaries.scripted.ReplayAdversary` — see
 ``docs/SEARCH.md``.
 """
 
 from repro.search.evaluate import (
-    EVALUATOR_BACKENDS,
     CandidateScore,
     EvaluationContext,
     PopulationEvaluator,
@@ -76,7 +73,6 @@ __all__ = [
     "GenomeSpace",
     "GreedyLookaheadSearch",
     "LocalMutationSearch",
-    "EVALUATOR_BACKENDS",
     "PopulationEvaluator",
     "RandomRestartSearch",
     "SearchBudget",

@@ -245,8 +245,8 @@ class StrategyGenome:
         (whose ``resolve_cr4`` is the inherited base default — CR4
         collisions resolve to silence without ever consulting it);
         genomes with CR4 genes build a :class:`GenomeCR4Adversary`,
-        whose real resolver the mask engines serve through their
-        consult paths (the eligibility table is all-yes either way).
+        whose real resolver the fast engine serves through its CR4
+        consult path.
         """
         if self.cr4:
             return GenomeCR4Adversary(self)
@@ -311,8 +311,8 @@ class GenomeSpace:
             genomes keep ``proc=None``.
         cr4_genes: Whether genomes carry CR4 resolution genes.  Only
             useful under CR4 (no other rule ever consults the
-            resolver); the mask engines score gene-carrying genomes
-            through their CR4 consult paths, so the genes cost extra
+            resolver); the fast engine scores gene-carrying genomes
+            through its CR4 consult path, so the genes cost extra
             work only on rounds that actually collide.
         churn_genes: Whether genomes carry crash genes
             ``(node, crash_round, down_for)`` — the adversary then

@@ -95,7 +95,6 @@ def run_search(
     progress: Optional[ProgressCallback] = None,
     store: Optional[str] = None,
     flush_every: Optional[int] = None,
-    evaluator: str = "sandbox",
 ) -> SearchResult:
     """Run one adversary search and return its best candidate.
 
@@ -107,8 +106,7 @@ def run_search(
         seed: Search seed driving candidate generation (the engine seed
             is derived from the cell, independently — two searches with
             different seeds explore differently but score identically).
-        workers: Parallel evaluation processes (sandbox backend only;
-            the lockstep backend scores batches in-process).
+        workers: Parallel evaluation processes.
         results_path: Optional results location — a JSON-lines file or
             a campaign directory; previously persisted candidates are
             resumed by key instead of re-evaluated, and fresh scores
@@ -122,12 +120,6 @@ def run_search(
             path.
         flush_every: Explicit store flush policy (``None``: backend
             default).
-        evaluator: Population-scoring backend —
-            ``"sandbox"`` (per-genome runs, default) or ``"lockstep"``
-            (whole batches as vector-engine lanes; see
-            :class:`~repro.search.evaluate.PopulationEvaluator`).
-            Scores are identical either way, so a results file written
-            under one backend resumes under the other.
     """
     watch = Stopwatch()
     telemetry = current()
@@ -165,9 +157,7 @@ def run_search(
     # and the final replay certification (pool workers, when used,
     # build their own context once each in the pool initializer).
     context = EvaluationContext(settings, graph=space.graph)
-    evaluator_obj = PopulationEvaluator(
-        settings, workers=workers, context=context, backend=evaluator
-    )
+    evaluator_obj = PopulationEvaluator(settings, workers, context)
     try:
         while ordinal < budget.evaluations:
             count = min(

@@ -17,9 +17,10 @@ are written atomically (temp file + rename), so a hard kill can never
 leave a torn block — it only forfeits the unflushed in-memory buffer,
 whose tasks simply re-run, bounded by ``flush_every``.
 
-NumPy is import-gated exactly like the vector engine: constructing a
-:class:`ColumnarStore` without NumPy raises a clear error and every
-other backend keeps working.
+NumPy is import-gated: this is the only runtime module that imports
+it, and only when a :class:`ColumnarStore` is constructed.  Without
+NumPy that construction raises a clear error and every other backend
+keeps working.
 """
 
 from __future__ import annotations

@@ -544,6 +544,73 @@ class TestStoreCommands:
             )
 
 
+class TestEngineChoice:
+    """``reference`` and ``fast`` are the CLI's engines."""
+
+    RUN = [
+        "run", "--graph", "clique-bridge", "--n", "9",
+        "--algorithm", "harmonic", "--adversary", "greedy", "--json",
+    ]
+
+    def test_run_engines_agree(self, capsys):
+        docs = {}
+        for engine in ("reference", "fast"):
+            assert main(self.RUN + ["--engine", engine]) == 0
+            docs[engine] = json.loads(capsys.readouterr().out)
+        assert docs["fast"] == docs["reference"]
+
+    def test_sweep_engine_fast_beside_reference_file(
+        self, capsys, tmp_path
+    ):
+        """``--engine fast`` appends its own keys to a file written by
+        the reference engine, then resumes them."""
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(
+            json.dumps(
+                {
+                    "name": "cli-fast",
+                    "algorithms": ["round_robin"],
+                    "graphs": [{"kind": "line", "n": 6}],
+                    "seeds": [0, 1, 2],
+                    "collision_rules": ["CR3"],
+                }
+            )
+        )
+        results = tmp_path / "results.jsonl"
+        args = ["sweep", "--spec", str(spec_file), "--results",
+                str(results)]
+        assert main(args) == 0
+        assert "3 run, 0 resumed" in capsys.readouterr().out
+        assert main(args + ["--engine", "fast"]) == 0
+        assert "3 run, 0 resumed" in capsys.readouterr().out
+        assert main(args + ["--engine", "fast"]) == 0
+        assert "0 run, 3 resumed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--graph", "line", "--n", "8"],
+            ["sweep", "--graph", "line", "--sizes", "6"],
+            ["profile", "--graph", "line", "--n", "8"],
+        ],
+        ids=["run", "sweep", "profile"],
+    )
+    def test_vector_engine_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--engine", "vector"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'vector'" in capsys.readouterr().err
+
+    def test_search_has_no_evaluator_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["search", "--graph", "line", "--n", "6",
+                 "--evaluator", "sandbox"]
+            )
+        assert exc.value.code == 2
+        assert "--evaluator" in capsys.readouterr().err
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

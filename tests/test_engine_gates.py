@@ -1,17 +1,14 @@
-"""Eligibility gates and engine edge cases, fast and vector alike.
+"""Engine routing and edge cases: the fast engine against the oracle.
 
-One truth table (:func:`repro.sim.fast_engine.mask_engine_eligible`)
-decides when a mask engine is the canonical choice.  The table is now
-**all-yes** — every (collision rule, adversary) combination, CR4 real
-resolvers included, runs on the requested mask engine; the only
-downgrade left is a vector request without NumPy.  Both public gates
-must agree with the table, and the sweep layer's routing must follow
-it: every (engine, CR, adversary-resolver, graph-kind) row is pinned
-here, including the seed-dependent graph kinds that now run the vector
-cell's lanes on per-lane graphs instead of falling back per seed.  The
-edge cases — single-seed cells, n=1 graphs, zero-round caps — are the
-places a lockstep implementation is most likely to drift from the
-reference run loop, so they are pinned here for every engine.
+The sweep layer runs every task that does not ask for the reference
+engine on the fast bitmask engine — every (collision rule, adversary)
+combination, CR4 real resolvers included.  Each (adversary-resolver,
+graph-kind) and churn row is pinned here against the reference
+science, through both the per-task and the batched path.  The edge
+cases — single-seed cells, n=1 graphs, zero-round caps — are the
+places an engine is most likely to drift from the reference run loop,
+so they are pinned here for both engines, and every (collision rule,
+adversary, start mode) combination is pinned byte for byte.
 """
 
 import pytest
@@ -29,62 +26,59 @@ from repro.experiments.runner import execute_batch, execute_task
 from repro.experiments.spec import plan_batches
 from repro.sim import (
     CollisionRule,
-    fast_engine_eligible,
-    mask_engine_eligible,
+    StartMode,
     trace_to_json,
-    vector_engine_eligible,
+    validate_execution,
 )
-from repro.sim.vector_engine import have_numpy
 
-ENGINES = ("reference", "fast", "vector")
-MASK_RULES = [CollisionRule.CR1, CollisionRule.CR2, CollisionRule.CR3]
+ENGINES = ("reference", "fast")
 
-#: (adversary factory, has a real CR4 resolver) — the truth table's
-#: second axis.  ``None`` stands for the engine-default adversary.
-ADVERSARY_CASES = [
-    (lambda: None, False),
-    (NoDeliveryAdversary, False),
-    (FullDeliveryAdversary, False),
-    (GreedyInterferer, True),
-    (lambda: RandomDeliveryAdversary(0.5, cr4_mode="random"), True),
-    # cr4_mode="silence" still *overrides* resolve_cr4 at the class
-    # level, so the type-based gate must treat it as a real resolver.
-    (lambda: RandomDeliveryAdversary(0.5), True),
-]
+#: Adversary factories for the combination matrix below.  ``None``
+#: stands for the engine-default adversary; greedy and both random
+#: modes override ``resolve_cr4`` (``cr4_mode="silence"`` included), so
+#: under CR4 they drive the fast engine's consult path.
+ADVERSARY_CASES = {
+    "default": lambda: None,
+    "none": NoDeliveryAdversary,
+    "full": FullDeliveryAdversary,
+    "greedy": GreedyInterferer,
+    "random-cr4": lambda: RandomDeliveryAdversary(0.5, cr4_mode="random"),
+    "random-silence": lambda: RandomDeliveryAdversary(0.5),
+}
 
 
-class TestSharedTruthTable:
-    @pytest.mark.parametrize("make_adv,real_resolver", ADVERSARY_CASES)
-    def test_cr1_to_cr3_always_eligible(self, make_adv, real_resolver):
-        for rule in MASK_RULES:
-            adv = make_adv()
-            assert mask_engine_eligible(rule, adv)
-            assert fast_engine_eligible(rule, adv)
-            assert vector_engine_eligible(rule, adv) == have_numpy()
-
-    @pytest.mark.parametrize("make_adv,real_resolver", ADVERSARY_CASES)
-    def test_cr4_always_eligible(self, make_adv, real_resolver):
-        """CR4 is no longer special: real resolvers (greedy, pivot,
-        random, genome) run on the mask engines too — the fast engine
-        consults them inline and the vector engine batches the
-        consultations per round."""
-        adv = make_adv()
-        assert mask_engine_eligible(CollisionRule.CR4, adv)
-        assert fast_engine_eligible(CollisionRule.CR4, adv)
-        assert vector_engine_eligible(CollisionRule.CR4, adv) == (
-            have_numpy()
+class TestCombinationMatrix:
+    @pytest.mark.parametrize("start", list(StartMode),
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("adversary", list(ADVERSARY_CASES))
+    @pytest.mark.parametrize("rule", list(CollisionRule),
+                             ids=lambda r: r.name)
+    def test_fast_trace_equals_reference(self, rule, adversary, start):
+        """Every (collision rule, adversary, start mode) combination
+        runs on the fast engine with a trace byte-identical to the
+        reference engine's, recorded receptions included, and the
+        trace passes the independent semantics checker."""
+        graph = corpus_graph("clique-bridge")
+        traces = {
+            engine: broadcast(
+                graph,
+                "harmonic",
+                adversary=ADVERSARY_CASES[adversary](),
+                seed=3,
+                engine=engine,
+                collision_rule=rule,
+                start_mode=start,
+                max_rounds=60,
+                record_receptions=True,
+            )
+            for engine in ENGINES
+        }
+        assert trace_to_json(traces["fast"]) == trace_to_json(
+            traces["reference"]
         )
-
-    def test_gates_are_thin_wrappers(self):
-        """The public gates never disagree with the shared table."""
-        for rule in CollisionRule:
-            for make_adv, _ in ADVERSARY_CASES:
-                adv = make_adv()
-                shared = mask_engine_eligible(rule, adv)
-                assert fast_engine_eligible(rule, adv) == shared
-                assert vector_engine_eligible(rule, adv) == (
-                    shared and have_numpy()
-                )
+        assert validate_execution(
+            traces["reference"], graph, rule, start
+        ) == []
 
 
 def _one_cell_spec(engine, seeds, collision_rule="CR4",
@@ -105,35 +99,10 @@ def _one_cell_spec(engine, seeds, collision_rule="CR4",
     )
 
 
-def test_repro_sim_does_not_eagerly_import_numpy():
-    """reference/fast-only consumers — CLI startup and every sweep pool
-    worker — must not pay the NumPy import; the vector exports resolve
-    lazily (PEP 562) on first use."""
-    import os
-    import subprocess
-    import sys
-
-    code = (
-        "import sys\n"
-        "import repro.sim, repro.sim.engine, repro.sim.fast_engine\n"
-        "assert 'numpy' not in sys.modules, 'eager numpy import'\n"
-        "from repro.sim import build_engine, fast_engine_eligible\n"
-        "assert 'numpy' not in sys.modules, 'eager numpy import'\n"
-        "from repro.sim import vector_engine_eligible  # lazy resolve\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ),
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-
-
 #: (adversary kind, graph kind) rows for the routing table below.
 #: "pivot" carries a real CR4 resolver AND internal round state; "gnp"
-#: and "gray-zone" are the seed-dependent graph kinds that used to
-#: force the vector cell back to per-seed execution.
+#: and "gray-zone" are the seed-dependent graph kinds the batched path
+#: rebuilds per seed.
 ROUTING_ROWS = [
     ("none", "line"),
     ("greedy", "line"),
@@ -150,9 +119,8 @@ class TestSweepRouting:
     def test_cr4_stays_on_requested_engine(
         self, engine, adversary, graph_kind
     ):
-        """Every (engine, adversary-resolver, graph-kind) row runs on
-        the requested mask engine and reproduces the reference
-        science — no silent downgrade left in the table."""
+        """Every (adversary-resolver, graph-kind) row runs on the fast
+        engine and reproduces the reference science."""
         task = _one_cell_spec(
             engine, [0], adversary=adversary, graph_kind=graph_kind
         ).tasks()[0]
@@ -173,8 +141,8 @@ class TestSweepRouting:
         self, engine, adversary, graph_kind
     ):
         """The batched path records the same engine and the same
-        science as the per-task path — including vector cells whose
-        lanes consult real CR4 resolvers or carry per-seed graphs."""
+        science as the per-task path — including cells that consult
+        real CR4 resolvers or carry per-seed graphs."""
         spec = _one_cell_spec(
             engine, range(3), adversary=adversary, graph_kind=graph_kind
         )
@@ -182,25 +150,6 @@ class TestSweepRouting:
         records = execute_batch(batch)
         assert [r.engine for r in records] == [engine] * 3
         assert records == [execute_task(t) for t in batch.tasks]
-
-    @pytest.mark.parametrize("rule", ["CR1", "CR2", "CR3", "CR4"])
-    def test_vector_without_numpy_is_the_only_downgrade(
-        self, rule, monkeypatch
-    ):
-        """When NumPy is unavailable the vector request downgrades to
-        the reference engine for every collision rule — the one row of
-        the table that is environment-, not semantics-, driven."""
-        import repro.sim.vector_engine as vector_mod
-
-        monkeypatch.setattr(
-            vector_mod, "vector_engine_eligible", lambda *a: False
-        )
-        task = _one_cell_spec(
-            "vector", [0], collision_rule=rule, adversary="greedy"
-        ).tasks()[0]
-        record = execute_task(task)
-        assert record.engine == "reference"
-
 
 #: The registered fault-injection kinds, each with parameters that
 #: actually take nodes down within the gates cell's horizon.
@@ -216,7 +165,7 @@ class TestChurnRouting:
     @pytest.mark.parametrize("engine", ENGINES[1:])
     @pytest.mark.parametrize("kind,params", CHURN_ROWS)
     def test_churn_cell_matches_reference(self, engine, kind, params):
-        """Fault-injected cells run on the requested mask engine and
+        """Fault-injected cells run on the fast engine and
         reproduce the reference science, and records carry the churn
         kind as an axis value."""
         task = _one_cell_spec(
@@ -238,9 +187,9 @@ class TestChurnRouting:
     @pytest.mark.parametrize("engine", ENGINES[1:])
     @pytest.mark.parametrize("kind,params", CHURN_ROWS)
     def test_churn_batch_matches_per_task(self, engine, kind, params):
-        """The batched (lockstep) path applies each lane's own churn
-        schedule: batch records equal per-task records under every
-        registered kind."""
+        """The batched path applies each seed's own churn schedule:
+        batch records equal per-task records under every registered
+        kind."""
         spec = _one_cell_spec(
             engine, range(3), collision_rule="CR2", adversary="greedy",
             churns=[(kind, params)],
@@ -266,7 +215,7 @@ class TestChurnRouting:
 class TestEdgeCases:
     @pytest.mark.parametrize("engine", ENGINES[1:])
     def test_single_seed_cell(self, engine):
-        """A one-seed batch (lockstep of one lane) matches per-task."""
+        """A one-seed batch matches per-task."""
         spec = _one_cell_spec(engine, [5], collision_rule="CR3")
         (batch,) = plan_batches(spec.tasks())
         assert len(batch) == 1

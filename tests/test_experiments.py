@@ -18,7 +18,15 @@ from repro.experiments import (
     register_graph,
     run_sweep,
 )
-from repro.experiments.persist import load_records
+from repro.experiments.results import RunResult
+from repro.store import StoreHealth, open_store
+
+
+def load_records(path):
+    """A results file's key → record map and its load-time damage."""
+    store = open_store(path, RunResult.from_dict)
+    records = {r.key: r for r in store.iter_records()}
+    return records, store.health
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -96,6 +104,52 @@ class TestSpec:
         doc["max_round"] = 5  # typo'd field must not be dropped
         with pytest.raises(ValueError, match="unknown spec field"):
             ExperimentSpec.from_dict(doc)
+
+    def test_missing_required_spec_field_named(self):
+        doc = tiny_spec().to_dict()
+        del doc["algorithms"]
+        with pytest.raises(
+            ValueError, match="missing required spec field 'algorithms'"
+        ):
+            ExperimentSpec.from_dict(doc)
+
+    def test_seed_range_without_count_named(self):
+        doc = dict(tiny_spec().to_dict(), seeds={"start": 0})
+        with pytest.raises(ValueError, match="seeds: missing 'count'"):
+            ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["name", "graphs"])
+    def test_every_required_spec_field_named(self, field):
+        doc = tiny_spec().to_dict()
+        del doc[field]
+        with pytest.raises(
+            ValueError, match=f"missing required spec field '{field}'"
+        ):
+            ExperimentSpec.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "seeds,expected",
+        [({"start": 2, "count": 3}, (2, 3, 4)), ({"count": 2}, (0, 1))],
+    )
+    def test_seed_range_forms(self, seeds, expected):
+        doc = dict(tiny_spec().to_dict(), seeds=seeds)
+        assert ExperimentSpec.from_dict(doc).seeds == expected
+
+    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
+    def test_engine_axis_spellings(self, engine):
+        """``vector`` is still accepted, as the legacy spelling whose
+        ``/eng-vector`` key segment lets old result files resume."""
+        task = tiny_spec(engines=[engine.upper()]).tasks()[0]
+        assert task.engine == engine
+        if engine == "reference":
+            assert "eng-" not in task.key
+        else:
+            assert task.key.endswith(f"/eng-{engine}")
+
+    @pytest.mark.parametrize("engine", ["lockstep", "numpy"])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ValueError, match="unknown engine"):
+            tiny_spec(engines=[engine])
 
     def test_max_rounds_is_part_of_the_key(self):
         capped = tiny_spec(max_rounds=3).tasks()[0]
@@ -253,7 +307,7 @@ class TestSweepRunner:
         resumed = run_sweep(spec, results_path=str(path))
         assert resumed.resumed == spec.size - 2
         assert resumed.executed == 2
-        assert len(load_records(str(path))) == spec.size
+        assert len(load_records(str(path))[0]) == spec.size
 
     def test_changed_round_cap_invalidates_old_records(self, tmp_path):
         """Raising max_rounds must re-run, not resume, capped records."""
@@ -267,9 +321,9 @@ class TestSweepRunner:
         assert not retried.failures
 
     def test_load_records_missing_file(self, tmp_path):
-        loaded = load_records(str(tmp_path / "absent.jsonl"))
+        loaded, health = load_records(str(tmp_path / "absent.jsonl"))
         assert loaded == {}
-        assert loaded.skipped == 0
+        assert health == StoreHealth()
 
     def test_load_records_counts_torn_and_foreign_lines(self, tmp_path):
         spec = tiny_spec()
@@ -285,9 +339,9 @@ class TestSweepRunner:
         )
         path.write_text(damaged)
 
-        loaded = load_records(str(path))
+        loaded, health = load_records(str(path))
         assert len(loaded) == spec.size - 1  # the torn record is gone
-        assert loaded.skipped == 3
+        assert health.skipped_lines == 3
 
         resumed = run_sweep(spec, results_path=str(path))
         assert resumed.skipped_lines == 3

@@ -1,15 +1,14 @@
-"""Differential equivalence: the mask engines vs BroadcastEngine.
+"""Differential equivalence: the fast engine vs BroadcastEngine.
 
-The fast and vector engines' contract (docs/ARCHITECTURE.md) is that
-they are drop-in replacements producing **bit-identical traces** for the
+The fast engine's contract (docs/ARCHITECTURE.md) is that it is a
+drop-in replacement producing **bit-identical traces** for the
 same (network, processes, adversary, config, seed).  This harness runs
-all three engines seed for seed across algorithms × the shared graph
+both engines seed for seed across algorithms × the shared graph
 corpus × collision rules and asserts full trace equality — round
 records, informed rounds, activation order, completion — plus the
 engine-neutrality guarantee at the sweep layer (same records regardless
 of the engines axis).  The property-based companion is
-``tests/test_engine_fuzz.py``; the vector engine's lockstep-specific
-behaviour is covered in ``tests/test_vector_engine.py``.
+``tests/test_engine_fuzz.py``.
 """
 
 import itertools
@@ -20,12 +19,15 @@ from conftest import corpus_graph, scripted_processes
 from repro.adversaries import (
     FullDeliveryAdversary,
     GreedyInterferer,
-    NoDeliveryAdversary,
     RandomDeliveryAdversary,
 )
-from repro.core.runner import broadcast, make_processes
+from repro.core.runner import (
+    broadcast,
+    make_processes,
+    suggested_round_limit,
+)
 from repro.experiments import ExperimentSpec, SweepRunner
-from repro.experiments.registry import build_adversary
+from repro.experiments.registry import build_adversary, build_graph
 from repro.experiments.runner import execute_task
 from repro.extensions import run_gossip
 from repro.sim import (
@@ -34,16 +36,16 @@ from repro.sim import (
     EngineConfig,
     FastBroadcastEngine,
     StartMode,
-    VectorBroadcastEngine,
     build_engine,
-    fast_engine_eligible,
+    compile_topology,
+    trace_to_json,
     validate_execution,
 )
 
 ALGORITHMS = ["round_robin", "harmonic", "strong_select"]
 GRAPHS = ["line", "gnp", "clique-bridge"]
 MASK_RULES = [CollisionRule.CR1, CollisionRule.CR2, CollisionRule.CR3]
-ENGINES = ("reference", "fast", "vector")
+ENGINES = ("reference", "fast")
 
 
 def assert_traces_identical(ref, other):
@@ -59,7 +61,7 @@ def assert_traces_identical(ref, other):
 
 
 def assert_all_identical(traces):
-    """The reference trace equals every mask engine's trace."""
+    """The reference trace equals the fast engine's trace."""
     for engine in ENGINES[1:]:
         assert_traces_identical(traces["reference"], traces[engine])
 
@@ -149,9 +151,86 @@ def test_differential_synchronous_start():
     )
 
 
+@pytest.mark.parametrize("rule", list(CollisionRule), ids=lambda r: r.name)
+def test_seed_population_on_shared_topology(rule):
+    """Ten seeds on one compiled topology — the batched sweep path's
+    shape — each byte-identical to its own reference run."""
+    graph = corpus_graph("clique-bridge", 17)
+    topology = compile_topology(graph)
+    cap = suggested_round_limit("harmonic", graph)
+    completions = set()
+    for seed in range(10):
+        traces = {}
+        for engine in ENGINES:
+            traces[engine] = build_engine(
+                graph,
+                make_processes("harmonic", graph.n),
+                build_adversary("greedy", seed=seed),
+                EngineConfig(
+                    collision_rule=rule,
+                    max_rounds=cap,
+                    seed=seed,
+                    engine=engine,
+                ),
+                topology=topology if engine == "fast" else None,
+            ).run()
+        assert trace_to_json(traces["fast"]) == trace_to_json(
+            traces["reference"]
+        ), seed
+        completions.add(traces["fast"].completion_round)
+    # The seeds genuinely diverge, so a state leak between runs on the
+    # shared topology could not have survived the comparison.
+    assert len(completions) > 1
+
+
+@pytest.mark.parametrize("cap", [1, 3, 40])
+def test_round_cap_cuts_runs_identically(cap):
+    """Caps below the completion round (round 8 on this line) cut both
+    engines at the cap with the same partial trace; a cap above it lets
+    both complete identically."""
+    traces = {
+        engine: broadcast(
+            corpus_graph("line", 9),
+            "round_robin",
+            engine=engine,
+            collision_rule=CollisionRule.CR3,
+            max_rounds=cap,
+        )
+        for engine in ENGINES
+    }
+    fast = traces["fast"]
+    assert fast.num_rounds == min(cap, 8)
+    assert fast.completed == (cap >= 8)
+    assert trace_to_json(traces["fast"]) == trace_to_json(
+        traces["reference"]
+    )
+
+
+@pytest.mark.parametrize("graph_kind", ["gnp", "gray-zone"])
+def test_per_seed_networks_match_reference(graph_kind):
+    """Seed-dependent graph kinds build a different network per seed;
+    on each, CR4 with the greedy adversary's real resolver stays
+    byte-identical across engines."""
+    for seed in range(6):
+        traces = {}
+        for engine in ENGINES:
+            traces[engine] = broadcast(
+                build_graph(graph_kind, 11, seed=seed),
+                "harmonic",
+                adversary=build_adversary("greedy", seed=seed),
+                seed=seed,
+                engine=engine,
+                collision_rule=CollisionRule.CR4,
+                max_rounds=40,
+            )
+        assert trace_to_json(traces["fast"]) == trace_to_json(
+            traces["reference"]
+        ), seed
+
+
 @pytest.mark.parametrize("engine", ENGINES[1:])
 def test_mask_trace_passes_independent_validation(engine, tiny_gnp):
-    """The mask engines' recorded executions satisfy the Section 2.1
+    """The fast engine's recorded executions satisfy the Section 2.1
     semantics checker (which shares no code with any engine)."""
     for rule in MASK_RULES:
         trace = broadcast(
@@ -211,7 +290,6 @@ def test_build_engine_dispatch(tiny_line):
     for name, cls in [
         ("reference", BroadcastEngine),
         ("fast", FastBroadcastEngine),
-        ("vector", VectorBroadcastEngine),
     ]:
         engine = build_engine(
             tiny_line,
@@ -225,19 +303,6 @@ def test_build_engine_dispatch(tiny_line):
             make_processes("round_robin", n),
             config=EngineConfig(engine="warp"),
         )
-
-
-def test_fast_engine_eligibility():
-    """The table is all-yes: CR4 real resolvers take the consult path
-    instead of downgrading (tests/test_engine_gates.py pins every row)."""
-    for rule in MASK_RULES:
-        assert fast_engine_eligible(rule, GreedyInterferer())
-    assert fast_engine_eligible(CollisionRule.CR4, NoDeliveryAdversary())
-    assert fast_engine_eligible(CollisionRule.CR4, None)
-    assert fast_engine_eligible(CollisionRule.CR4, GreedyInterferer())
-    assert fast_engine_eligible(
-        CollisionRule.CR4, RandomDeliveryAdversary(0.5)
-    )
 
 
 def test_task_key_and_seed_engine_invariants():
@@ -254,7 +319,8 @@ def test_task_key_and_seed_engine_invariants():
     assert fast_task.engine == "fast"
     assert vector_task.engine == "vector"
     # Reference keys are unchanged from pre-engine sweeps (resume
-    # compatibility); mask-engine keys are namespaced.
+    # compatibility); other engines' keys are namespaced, and the
+    # legacy "vector" spelling keeps its segment so old files resume.
     assert "eng-" not in ref_task.key
     assert fast_task.key == f"{ref_task.key}/eng-fast"
     assert vector_task.key == f"{ref_task.key}/eng-vector"
@@ -266,38 +332,32 @@ def test_task_key_and_seed_engine_invariants():
 
 
 def test_sweep_records_are_engine_neutral():
-    """engines=[reference, fast, vector] yields identical science."""
+    """engines=[reference, fast] yields identical science."""
     spec = ExperimentSpec(
         name="neutral",
         algorithms=["harmonic", "round_robin"],
         graphs=[("line", 9), ("clique-bridge", 9)],
         adversaries=["greedy"],
         collision_rules=["CR2", "CR4"],
-        engines=["reference", "fast", "vector"],
+        engines=["reference", "fast"],
         seeds=[0, 1],
     )
     result = SweepRunner(spec).run()
     by_key = {r.key: r for r in result.records}
-    for engine in ("fast", "vector"):
-        engine_records = [
-            r for r in result.records if f"eng-{engine}" in r.key
-        ]
-        assert len(engine_records) == spec.size // 3
-        for record in engine_records:
-            ref_record = by_key[record.key.replace(f"/eng-{engine}", "")]
-            assert ref_record.completed == record.completed
-            assert ref_record.completion_round == record.completion_round
-            assert ref_record.rounds == record.rounds
-            assert (
-                ref_record.total_transmissions
-                == record.total_transmissions
-            )
+    fast_records = [r for r in result.records if "eng-fast" in r.key]
+    assert len(fast_records) == spec.size // 2
+    for record in fast_records:
+        ref_record = by_key[record.key.replace("/eng-fast", "")]
+        assert ref_record.completed == record.completed
+        assert ref_record.completion_round == record.completion_round
+        assert ref_record.rounds == record.rounds
+        assert ref_record.total_transmissions == record.total_transmissions
 
 
 @pytest.mark.parametrize("engine", ENGINES[1:])
 def test_execute_task_transparent_fallback(engine):
     """Every CR/adversary combination — CR4 with a real resolver
-    included — now records the requested mask engine; the science
+    included — records the fast engine; the science
     still matches the reference record (the consult paths are
     trace-equivalent)."""
     spec = ExperimentSpec(
@@ -330,7 +390,7 @@ def test_execute_task_transparent_fallback(engine):
 
 def test_differential_bulk_cross_product():
     """A broad shallow sweep: every (algorithm, graph, rule) cell of the
-    advertised support matrix at one seed, all three engines."""
+    advertised support matrix at one seed, both engines."""
     for algorithm, graph_kind, rule in itertools.product(
         ALGORITHMS, GRAPHS, MASK_RULES
     ):

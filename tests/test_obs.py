@@ -41,7 +41,7 @@ from repro.obs import (
 )
 from repro.sim import CollisionRule
 
-ENGINES = ("reference", "fast", "vector")
+ENGINES = ("reference", "fast")
 
 
 def _identical(ref, other):
@@ -75,16 +75,12 @@ class TestTraceNeutrality:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_traces_identical_on_vs_off(self, engine):
-        if engine == "vector":
-            pytest.importorskip("numpy")
         off = _run(engine, NullTelemetry())
         on = _run(engine, RecordingTelemetry())
         _identical(off, on)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_traces_identical_under_churn(self, engine):
-        if engine == "vector":
-            pytest.importorskip("numpy")
         off = _run(engine, NullTelemetry(), churn_kind="rate")
         on = _run(engine, RecordingTelemetry(), churn_kind="rate")
         _identical(off, on)

@@ -135,6 +135,39 @@ class TestEvaluation:
             serial = seri.evaluate(genomes)
         assert parallel == serial
 
+    @pytest.mark.parametrize("rule", ["CR1", "CR4"])
+    def test_population_engines_agree_objective_for_objective(self, rule):
+        """Random genomes — under CR4 carrying resolution genes — score
+        identically on the fast and reference engines; only the
+        recorded engine label differs."""
+        cells = {
+            engine: SearchSettings(
+                algorithm="round_robin",
+                graph_kind="clique-bridge",
+                n=10,
+                collision_rule=rule,
+                engine=engine,
+            )
+            for engine in ("fast", "reference")
+        }
+        space = make_space(cells["fast"])
+        rng = random.Random(7)
+        genomes = [space.random(rng) for _ in range(9)]
+        assert any(g.cr4 for g in genomes) == (rule == "CR4")
+        scores = {}
+        for engine, cell in cells.items():
+            with PopulationEvaluator(cell) as evaluator:
+                scores[engine] = evaluator.evaluate(genomes)
+        for fast, ref in zip(scores["fast"], scores["reference"]):
+            assert (fast.engine, ref.engine) == ("fast", "reference")
+            assert (
+                fast.objective, fast.completed, fast.completion_round,
+                fast.rounds,
+            ) == (
+                ref.objective, ref.completed, ref.completion_round,
+                ref.rounds,
+            )
+
 
 class TestRunSearch:
     def budget(self, n=8):
@@ -145,6 +178,28 @@ class TestRunSearch:
         b = run_search(CELL, searcher="random", budget=self.budget(), seed=1)
         assert a.best == b.best
         assert a.best_ordinal == b.best_ordinal
+
+    def test_engines_find_the_same_best(self):
+        """The engine choice is not part of the science: a local search
+        on either engine walks the same trajectory to the same best."""
+        results = {
+            engine: run_search(
+                SearchSettings(
+                    algorithm="round_robin",
+                    graph_kind="clique-bridge",
+                    n=10,
+                    engine=engine,
+                ),
+                searcher="local",
+                budget=self.budget(),
+                seed=1,
+            )
+            for engine in ("fast", "reference")
+        }
+        fast, ref = results["fast"], results["reference"]
+        assert fast.best.genome == ref.best.genome
+        assert fast.best.objective == ref.best.objective
+        assert fast.best_ordinal == ref.best_ordinal
 
     def test_seed_changes_exploration(self):
         a = run_search(CELL, searcher="random", budget=self.budget(), seed=1)
