@@ -11,9 +11,12 @@ continuations), and verifies that
 so documentation cannot drift ahead of (or behind) the CLI without
 failing the CI docs job.  The converse is enforced too: every live
 subcommand must appear in at least one documented command block, so a
-new command cannot ship undocumented.  Relative markdown links are
-checked for existence as a bonus — a renamed doc breaks the build,
-not the reader.
+new command cannot ship undocumented.  The registry-kinds table of
+docs/SWEEP_SPECS.md must name exactly the registered graph, adversary,
+churn and algorithm kinds with their declared params (on drift the
+check prints the table as the registries render it).  Relative
+markdown links are checked for existence as a bonus — a renamed doc
+breaks the build, not the reader.
 
 Usage: ``python scripts/check_docs.py`` (exit status 0 = clean).
 """
@@ -28,12 +31,28 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.cli import build_parser  # noqa: E402
+from repro.core.runner import ALGORITHMS  # noqa: E402
+from repro.experiments.registry import (  # noqa: E402
+    ADVERSARIES,
+    CHURNS,
+    GRAPHS,
+)
 
 DOC_FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+SPEC_DOC = ROOT / "docs" / "SWEEP_SPECS.md"
+
+#: Table label → registry, in the order the table lists them.
+SPEC_REGISTRIES = {
+    "graph": GRAPHS,
+    "adversary": ADVERSARIES,
+    "churn": CHURNS,
+    "algorithm": ALGORITHMS,
+}
 
 FENCE = re.compile(r"```[a-z]*\n(.*?)```", re.DOTALL)
 FLAG = re.compile(r"(--[a-z][a-z0-9-]*)")
 LINK = re.compile(r"\[[^\]]*\]\(([^)#]+)(?:#[^)]*)?\)")
+PARAM = re.compile(r"`(\w+: \w+)`")
 
 
 def known_flags() -> dict:
@@ -92,6 +111,56 @@ def check_commands(
     return problems
 
 
+def kinds_table() -> list:
+    """The registry-kinds table rows, rendered from the registries."""
+    rows = []
+    for label, registry in SPEC_REGISTRIES.items():
+        for kind, described in registry.describe().items():
+            params = ", ".join(
+                f"`{name}: {typ}`"
+                for name, typ in (described["params"] or {}).items()
+            )
+            rows.append(
+                f"| {label} | `{kind}` | {params or '—'} | "
+                f"{described['description']} |"
+            )
+    return rows
+
+
+def _row_vocabulary(row: str):
+    """``(label, kind, params)`` of one table row; params as a string."""
+    cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+    params = ", ".join(sorted(PARAM.findall(cells[2])))
+    return cells[0], cells[1].strip("`"), params
+
+
+def check_kinds(text: str):
+    """The SWEEP_SPECS kinds table against the live registries."""
+    section = text.split("### Registry kinds", 1)[-1].split("\n## ", 1)[0]
+    documented = {
+        _row_vocabulary(line)
+        for line in section.splitlines()
+        if line.startswith("| ") and line.split("|")[1].strip()
+        in SPEC_REGISTRIES
+    }
+    live = {_row_vocabulary(row) for row in kinds_table()}
+    problems = [
+        f"{SPEC_DOC.name}: kinds table lacks {label} `{kind}`"
+        f" ({params or 'no params'})"
+        for label, kind, params in sorted(live - documented)
+    ] + [
+        f"{SPEC_DOC.name}: kinds table names {label} `{kind}`"
+        f" ({params or 'no params'}), which is not registered so"
+        for label, kind, params in sorted(documented - live)
+    ]
+    if problems:
+        problems.append(
+            "the registries render the table as:\n"
+            + "\n".join(kinds_table())
+        )
+    return problems
+
+
 def check_links(path: pathlib.Path, text: str):
     problems = []
     for target in LINK.findall(text):
@@ -113,6 +182,7 @@ def main() -> int:
         problems += check_commands(path, text, flags_by_sub, documented)
         problems += check_links(path, text)
         checked += 1
+    problems += check_kinds(SPEC_DOC.read_text(encoding="utf-8"))
     for sub in sorted(set(flags_by_sub) - documented):
         problems.append(
             f"subcommand `repro {sub}` appears in no documented "
@@ -123,8 +193,9 @@ def main() -> int:
             print(f"STALE-DOCS: {problem}", file=sys.stderr)
         return 1
     print(
-        f"docs check: {checked} files, CLI commands and links consistent "
-        f"with repro --help ({', '.join(sorted(flags_by_sub))})"
+        f"docs check: {checked} files, CLI commands, kinds table and "
+        f"links consistent with repro --help and the registries "
+        f"({', '.join(sorted(flags_by_sub))})"
     )
     return 0
 

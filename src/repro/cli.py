@@ -32,40 +32,22 @@ import sys
 from typing import Optional, Sequence
 
 from repro.analysis import best_fit, render_table
-from repro.core.runner import (
-    algorithm_names,
-    broadcast,
-    suggested_round_limit,
-)
-from repro.sim.engine import ENGINE_NAMES
+from repro.core.runner import ALGORITHMS, broadcast, suggested_round_limit
+from repro.registry import Registry
+from repro.sim.collision import CollisionRule
+from repro.sim.engine import ENGINE_NAMES, StartMode
 from repro.sim.faults import REJOIN_POLICIES
 from repro.store import STORE_BACKENDS
 from repro.experiments import (
     ExperimentSpec,
     SweepResult,
     SweepRunner,
-    adversary_descriptions,
-    adversary_kinds,
     build_adversary,
     build_churn,
     build_graph,
-    churn_descriptions,
-    churn_kinds,
-    graph_descriptions,
-    graph_kinds,
     load_specs,
 )
-
-#: One-liners for ``repro list`` (algorithms have no registry
-#: descriptions; the registered names come from repro.core.runner).
-_ALGORITHM_DESCRIPTIONS = {
-    "strong_select": "deterministic Strong Select (Section 5)",
-    "strong_select_ks": "Strong Select on Kautz singleton SSFs",
-    "harmonic": "randomized Harmonic Broadcast (Section 6)",
-    "round_robin": "uids transmit in fixed rotation",
-    "decay": "classical Decay baseline",
-    "uniform": "transmit each round with probability 1/n",
-}
+from repro.experiments.registry import ADVERSARIES, CHURNS, GRAPHS
 
 
 def _warn_health(health, source: str, noun: str) -> None:
@@ -86,72 +68,60 @@ def _store_backend(args) -> Optional[str]:
     return None if choice == "auto" else choice
 
 
-def _build_graph_or_exit(name: str, n: int, seed: int):
-    try:
-        return build_graph(name, n, seed=seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+def _flag_params(
+    registry: Registry, kind: str, args, prefix: str = "", **given
+) -> dict:
+    """The declared params of ``kind`` that the parsed flags supply.
 
-
-def _adversary_params(adversary: str, args, n: int) -> dict:
-    """The extra factory params an inline CLI adversary choice needs."""
-    if adversary == "random":
-        return {"p": args.p}
-    if adversary == "pivot":
-        # PivotAdversary is built from the pivot-layers layout for the
-        # run's network size.
-        return {"n": n}
-    return {}
-
-
-def _build_adversary_or_exit(args, n: int):
-    params = _adversary_params(args.adversary, args, n)
-    try:
-        return build_adversary(args.adversary, seed=args.seed, **params)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def _build_churn_or_exit(args, n: int, max_rounds: int):
-    """Resolve the run's churn schedule from the inline flags."""
+    A declared param ``name`` takes ``given[name]`` if present, else the
+    flag ``--<prefix><name>`` or ``--<name>`` (``--p`` for the random
+    adversary's ``p``, ``--churn-count`` for the window churn's
+    ``count``).  Params no flag supplies are left to the factory
+    default; unknown kinds get none (the build names the kind).
+    """
+    if kind not in registry:
+        return {}
     params = {}
-    if args.churn == "rate":
-        params = {
-            "crash_rate": args.crash_rate,
-            "recover_rate": args.recover_rate,
-            "rejoin": args.rejoin,
-        }
-    elif args.churn == "window":
-        params = {
-            "count": args.churn_count,
-            "start": args.churn_start,
-            "length": args.churn_length,
-            "rejoin": args.rejoin,
-        }
-    try:
-        return build_churn(
-            args.churn, n=n, rounds=max_rounds, seed=args.seed, **params
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    for name in registry.entry(kind).params or ():
+        if name in given:
+            params[name] = given[name]
+        else:
+            for dest in (prefix + name, name):
+                if hasattr(args, dest):
+                    params[name] = getattr(args, dest)
+                    break
+    return params
 
 
 def cmd_run(args) -> int:
-    graph = _build_graph_or_exit(args.graph, args.n, args.seed)
-    # Resolve the round cap up front: a rate-based churn schedule must
-    # cover the whole horizon the run can reach.
-    max_rounds = args.max_rounds
-    if max_rounds is None:
-        max_rounds = suggested_round_limit(args.algorithm, graph)
-    trace = broadcast(
-        graph,
-        args.algorithm,
-        adversary=_build_adversary_or_exit(args, args.n),
-        seed=args.seed,
-        max_rounds=max_rounds,
-        engine=args.engine,
-        churn=_build_churn_or_exit(args, graph.n, max_rounds),
-    )
+    try:
+        graph = build_graph(args.graph, args.n, seed=args.seed)
+        # Resolve the round cap up front: a rate-based churn schedule
+        # must cover the whole horizon the run can reach.
+        max_rounds = args.max_rounds
+        if max_rounds is None:
+            max_rounds = suggested_round_limit(args.algorithm, graph)
+        trace = broadcast(
+            graph,
+            args.algorithm,
+            adversary=build_adversary(
+                args.adversary,
+                seed=args.seed,
+                **_flag_params(ADVERSARIES, args.adversary, args),
+            ),
+            seed=args.seed,
+            max_rounds=max_rounds,
+            engine=args.engine,
+            churn=build_churn(
+                args.churn,
+                n=graph.n,
+                rounds=max_rounds,
+                seed=args.seed,
+                **_flag_params(CHURNS, args.churn, args, prefix="churn_"),
+            ),
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     if args.json:
         print(trace.to_json())
     else:
@@ -167,26 +137,18 @@ def cmd_run(args) -> int:
 
 def _legacy_spec(args) -> ExperimentSpec:
     """Build a one-spec grid from the sweep subcommand's inline flags."""
-    if args.graph not in graph_kinds():
-        raise SystemExit(
-            f"unknown graph {args.graph!r}; choose from {graph_kinds()}"
-        )
-    if args.adversary not in adversary_kinds():
-        raise SystemExit(
-            f"unknown adversary {args.adversary!r}; "
-            f"choose from {adversary_kinds()}"
-        )
     sizes = [int(s) for s in args.sizes.split(",")]
-    if args.adversary == "pivot" and len(sizes) > 1:
-        # The pivot adversary is built per network size; one spec entry
-        # cannot cover a size grid.  Spec files can (one adversary
-        # entry per size); the inline form takes a single --sizes.
+    params = _flag_params(ADVERSARIES, args.adversary, args, n=sizes[0])
+    if "n" in params and len(sizes) > 1:
+        # An adversary sized by ``n`` (pivot) is built per network
+        # size; one spec entry cannot cover a size grid.  Spec files
+        # can (one adversary entry per size); the inline form takes a
+        # single --sizes.
         raise SystemExit(
-            "--adversary pivot needs a single --sizes value "
+            f"--adversary {args.adversary} needs a single --sizes value "
             "(its layout is built per network size); use a spec file "
             "for grids"
         )
-    params = _adversary_params(args.adversary, args, sizes[0])
     return ExperimentSpec(
         name=f"{args.algorithm}-{args.graph}",
         algorithms=[args.algorithm],
@@ -226,7 +188,10 @@ def cmd_sweep(args) -> int:
             ]
         title = f"sweep spec {args.spec}"
     else:
-        specs = [_legacy_spec(args)]
+        try:
+            specs = [_legacy_spec(args)]
+        except ValueError as exc:
+            raise SystemExit(str(exc))
         title = (
             f"{args.algorithm} on {args.graph}, adversary="
             f"{args.adversary}, seeds={[int(s) for s in args.seeds.split(',')]}"
@@ -295,88 +260,65 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_list(args) -> int:
-    """Print every registered kind with its one-line description."""
-    from repro.search import searcher_descriptions
+    """Print every registered kind, its declared params and description."""
+    from repro.search.searchers import SEARCHERS
 
-    if args.json:
-        doc = {
-            "graphs": graph_descriptions(),
-            "adversaries": adversary_descriptions(),
-            "churns": churn_descriptions(),
-            "algorithms": {
-                name: _ALGORITHM_DESCRIPTIONS.get(name, "")
-                for name in algorithm_names()
-            },
-            "searchers": searcher_descriptions(),
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    sections = [
-        ("graph kinds", graph_descriptions()),
-        ("adversary kinds", adversary_descriptions()),
-        ("churn kinds (fault injection)", churn_descriptions()),
-        (
-            "algorithms",
-            {
-                name: _ALGORITHM_DESCRIPTIONS.get(name, "")
-                for name in algorithm_names()
-            },
-        ),
-        ("searcher kinds (repro search)", searcher_descriptions()),
+    registries = [
+        ("graphs", "graph kinds", GRAPHS),
+        ("adversaries", "adversary kinds", ADVERSARIES),
+        ("churns", "churn kinds (fault injection)", CHURNS),
+        ("algorithms", "algorithms", ALGORITHMS),
+        ("searchers", "searcher kinds (repro search)", SEARCHERS),
     ]
-    for title, table in sections:
+    described = {key: registry.describe() for key, _, registry in registries}
+    if args.json:
+        print(json.dumps(described, indent=2, sort_keys=True))
+        return 0
+    for key, title, _ in registries:
+        rows = [
+            [
+                kind,
+                "(undeclared)" if d["params"] is None else ", ".join(
+                    f"{name}: {typ}" for name, typ in d["params"].items()
+                ) or "-",
+                d["description"],
+            ]
+            for kind, d in described[key].items()
+        ]
         print(
             render_table(
-                ["kind", "description"],
-                [[kind, desc] for kind, desc in sorted(table.items())],
-                title=title,
+                ["kind", "params", "description"], rows, title=title
             )
         )
     return 0
 
 
-def _search_settings(args) -> "SearchSettings":  # noqa: F821
-    from repro.search import SearchSettings
-
-    kind = args.graph
-    if kind not in graph_kinds():
-        # Accept underscore spellings of registered hyphenated kinds.
-        dashed = kind.replace("_", "-")
-        if dashed in graph_kinds():
-            kind = dashed
-        else:
-            raise SystemExit(
-                f"unknown graph {args.graph!r}; choose from "
-                f"{graph_kinds()}"
-            )
-    if args.algorithm not in algorithm_names():
-        raise SystemExit(
-            f"unknown algorithm {args.algorithm!r}; choose from "
-            f"{algorithm_names()}"
-        )
-    return SearchSettings(
-        algorithm=args.algorithm,
-        graph_kind=kind,
-        n=args.n,
-        collision_rule=args.cr,
-        start_mode=args.start_mode,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
-        engine=args.engine,
-        churn_genes=getattr(args, "churn_genes", False),
-    )
-
-
 def cmd_search(args) -> int:
     from repro.search import (
         SearchBudget,
+        SearchSettings,
         run_search,
         supports_theorem2,
         theorem2_comparison,
     )
 
-    settings = _search_settings(args)
+    graph = args.graph
+    dashed = graph.replace("_", "-")
+    if graph not in GRAPHS and dashed in GRAPHS:
+        # Accept underscore spellings of registered hyphenated kinds.
+        graph = dashed
     try:
+        settings = SearchSettings(
+            algorithm=args.algorithm,
+            graph_kind=graph,
+            n=args.n,
+            collision_rule=args.cr,
+            start_mode=args.start_mode,
+            seed=args.seed,
+            max_rounds=args.max_rounds,
+            engine=args.engine,
+            churn_genes=args.churn_genes,
+        )
         result = run_search(
             settings,
             searcher=args.searcher,
@@ -534,7 +476,6 @@ def cmd_progress(args) -> int:
 
 def cmd_profile(args) -> int:
     """Run one cell under instrumentation; print timings + counters."""
-    from repro.experiments import ExperimentSpec
     from repro.obs import profile_task
 
     try:
@@ -545,7 +486,7 @@ def cmd_profile(args) -> int:
             adversaries=(
                 (
                     args.adversary,
-                    _adversary_params(args.adversary, args, args.n),
+                    _flag_params(ADVERSARIES, args.adversary, args),
                 ),
             ),
             collision_rules=(args.cr,),
@@ -679,6 +620,96 @@ def cmd_lowerbound(args) -> int:
     raise SystemExit("supported theorems: 2, 11, 12")
 
 
+#: Marks a shared flag as required by a subcommand (instead of a default).
+_REQUIRED = object()
+
+
+def _shared_flags() -> dict:
+    """argparse keywords of every flag several subcommands share.
+
+    Each flag is defined here once; its help text and choices come from
+    the registries and enums.  Subcommands add them through
+    :func:`_add_shared` with their own defaults.
+    """
+
+    def kinds(registry: Registry) -> str:
+        return ", ".join(registry.kinds())
+
+    return {
+        "graph": dict(
+            help=f"graph kind: {kinds(GRAPHS)} (see `repro list`)"
+        ),
+        "n": dict(type=int, help="network size"),
+        "algorithm": dict(help=f"algorithm: {kinds(ALGORITHMS)}"),
+        "adversary": dict(help=f"adversary kind: {kinds(ADVERSARIES)}"),
+        "p": dict(
+            type=float, help="delivery probability for --adversary random"
+        ),
+        "seed": dict(
+            type=int,
+            help="cell seed: graph, adversary and engine randomness "
+            "derive from it",
+        ),
+        "max_rounds": dict(
+            type=int,
+            help="round cap (default: from the algorithm's proven bound)",
+        ),
+        "engine": dict(
+            choices=list(ENGINE_NAMES),
+            help="execution engine: reference (the oracle) or fast (the "
+            "bitmask engine); traces are identical.  A sweep's --engine "
+            "overrides the spec file's engines axis",
+        ),
+        "churn": dict(
+            help=f"fault-injection kind: {kinds(CHURNS)} (see `repro "
+            "list`); schedules derive deterministically from --seed",
+        ),
+        "cr": dict(
+            choices=list(CollisionRule.__members__),
+            help="collision rule of the cell",
+        ),
+        "start_mode": dict(
+            choices=[mode.value for mode in StartMode],
+            help="start rule (lower-bound constructions use synchronous)",
+        ),
+        "results": dict(
+            help="result store: a JSON-lines file or a campaign "
+            "directory (sharded/columnar); sweep and search resume the "
+            "records already there by key rather than re-run them",
+        ),
+        "store": dict(
+            choices=list(STORE_BACKENDS),
+            help="result-store backend behind --results (auto: detect "
+            "from the path/manifest — a directory is a sharded "
+            "campaign, a file is JSON lines; see docs/STORAGE.md)",
+        ),
+        "flush_every": dict(
+            type=int,
+            help="flush the result store every N records (default: the "
+            "backend's policy — jsonl 1, sharded 64, columnar 512)",
+        ),
+        "workers": dict(
+            type=int, help="worker processes (default 1: in-process)"
+        ),
+        "json": dict(action="store_true", help="machine-readable output"),
+    }
+
+
+def _add_shared(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Add the named shared flags with this subcommand's defaults.
+
+    A default of :data:`_REQUIRED` makes the flag required instead.
+    """
+    flags = _shared_flags()
+    for name, default in defaults.items():
+        kwargs = dict(flags[name])
+        if default is _REQUIRED:
+            kwargs["required"] = True
+        else:
+            kwargs["default"] = default
+        parser.add_argument("--" + name.replace("_", "-"), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -688,28 +719,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one broadcast")
-    run.add_argument("--graph", default="gnp", help=f"{graph_kinds()}")
-    run.add_argument("--n", type=int, default=32)
-    run.add_argument(
-        "--algorithm", default="strong_select",
-        help=f"{algorithm_names()}"
-    )
-    run.add_argument(
-        "--adversary", default="greedy", help=f"{adversary_kinds()}"
-    )
-    run.add_argument("--p", type=float, default=0.5,
-                     help="delivery probability for --adversary random")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--max-rounds", type=int, default=None)
-    run.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default="reference",
-        help="execution engine (fast = bitmask fast path; identical "
-        "traces)",
-    )
-    run.add_argument(
-        "--churn", default="none",
-        help=f"fault-injection kind: {churn_kinds()} (see `repro "
-        "list`); schedules derive deterministically from --seed",
+    _add_shared(
+        run, graph="gnp", n=32, algorithm="strong_select",
+        adversary="greedy", p=0.5, seed=0, max_rounds=None,
+        engine="reference", churn="none", json=False,
     )
     run.add_argument(
         "--crash-rate", type=float, default=0.02,
@@ -737,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--churn-length", type=int, default=4,
         help="rounds the window nodes stay down",
     )
-    run.add_argument("--json", action="store_true")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser(
@@ -748,40 +760,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON spec file (one spec object or a list); overrides the "
         "inline grid flags below",
     )
-    sweep.add_argument("--graph", default="gnp")
-    sweep.add_argument("--algorithm", default="strong_select")
-    sweep.add_argument("--adversary", default="greedy")
-    sweep.add_argument("--p", type=float, default=0.5)
+    _add_shared(
+        sweep, graph="gnp", algorithm="strong_select", adversary="greedy",
+        p=0.5, max_rounds=None, engine=None, results=None, store="auto",
+        flush_every=None, workers=1,
+    )
     sweep.add_argument("--sizes", default="16,32,64")
     sweep.add_argument("--seeds", default="0,1,2")
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--max-rounds", type=int, default=None)
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the sweep (default 1: in-process)",
-    )
-    sweep.add_argument(
-        "--results", default=None,
-        help="results file (JSON lines) or campaign directory "
-        "(sharded/columnar store); existing records are resumed "
-        "rather than re-run",
-    )
-    sweep.add_argument(
-        "--store", choices=list(STORE_BACKENDS), default="auto",
-        help="result-store backend behind --results (auto: a "
-        "directory is a sharded campaign, a file is JSON lines; "
-        "see docs/STORAGE.md)",
-    )
-    sweep.add_argument(
-        "--flush-every", type=int, default=None,
-        help="flush the result store every N records (default: the "
-        "backend's policy — jsonl 1, sharded 64, columnar 512)",
-    )
-    sweep.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default=None,
-        help="execution engine for every task (overrides the spec "
-        "file's engines axis)",
-    )
     sweep.add_argument(
         "--events", action="store_true",
         help="write a schema-versioned events.jsonl telemetry stream "
@@ -801,11 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
         "list",
         help="list registered graph/adversary/algorithm/searcher kinds",
     )
-    lister.add_argument(
-        "--json", action="store_true",
-        help="machine-readable registry listing (kind -> description "
-        "per registry) for tooling",
-    )
+    _add_shared(lister, json=False)
     lister.set_defaults(func=cmd_list)
 
     search = sub.add_parser(
@@ -813,21 +794,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="search for a worst-case adversary strategy "
         "(see docs/SEARCH.md)",
     )
-    search.add_argument("--graph", default="clique-bridge",
-                        help=f"{graph_kinds()}")
-    search.add_argument("--n", type=int, default=16)
-    search.add_argument(
-        "--algorithm", default="round_robin",
-        help=f"{algorithm_names()}",
-    )
-    search.add_argument(
-        "--cr", default="CR1", choices=["CR1", "CR2", "CR3", "CR4"],
-        help="collision rule the candidates are scored under",
-    )
-    search.add_argument(
-        "--start-mode", default="synchronous",
-        choices=["synchronous", "asynchronous"],
-        help="start rule (lower-bound constructions use synchronous)",
+    _add_shared(
+        search, graph="clique-bridge", n=16, algorithm="round_robin",
+        cr="CR1", start_mode="synchronous", seed=0, max_rounds=None,
+        engine="fast", results=None, store="auto", flush_every=None,
+        workers=1, json=False,
     )
     search.add_argument(
         "--searcher", default="random",
@@ -842,39 +813,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidates generated and evaluated per iteration",
     )
     search.add_argument(
-        "--seed", type=int, default=0,
-        help="cell seed: engine randomness derives from it",
-    )
-    search.add_argument(
         "--search-seed", type=int, default=0,
         help="seed of the candidate-generation rng",
-    )
-    search.add_argument("--max-rounds", type=int, default=None)
-    search.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel evaluation processes (default 1: in-process)",
-    )
-    search.add_argument(
-        "--results", default=None,
-        help="candidate results file (JSON lines) or campaign "
-        "directory; existing evaluations are resumed by key rather "
-        "than re-run",
-    )
-    search.add_argument(
-        "--store", choices=list(STORE_BACKENDS), default="auto",
-        help="result-store backend behind --results (see "
-        "docs/STORAGE.md)",
-    )
-    search.add_argument(
-        "--flush-every", type=int, default=None,
-        help="flush the result store every N records (default: the "
-        "backend's policy)",
-    )
-    search.add_argument(
-        "--engine", choices=["auto", "reference", "fast"],
-        default="auto",
-        help="evaluation engine: auto picks the fast engine "
-        "(CR4 genomes included; reference forces the baseline)",
     )
     search.add_argument(
         "--verify", action=argparse.BooleanOptionalAction, default=True,
@@ -892,7 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on clique-bridge cells, also print the found worst case "
         "next to the Theorem 2 bound and scripted-adversary stall",
     )
-    search.add_argument("--json", action="store_true")
     search.set_defaults(func=cmd_search)
 
     merge = sub.add_parser(
@@ -900,19 +839,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge a campaign store into one canonical JSONL file "
         "(see docs/STORAGE.md)",
     )
-    merge.add_argument(
-        "--results", required=True,
-        help="source store: a campaign directory (sharded/columnar) "
-        "or a JSONL results file",
-    )
+    _add_shared(merge, results=_REQUIRED, store="auto")
     merge.add_argument(
         "--out", required=True,
         help="destination JSONL file; existing records there are "
         "kept and updated by key (idempotent, key-sorted, atomic)",
-    )
-    merge.add_argument(
-        "--store", choices=list(STORE_BACKENDS), default="auto",
-        help="source backend (auto: detect from the path/manifest)",
     )
     merge.set_defaults(func=cmd_merge)
 
@@ -921,16 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream a campaign into the paper-reproduction tables "
         "(completion summaries + Thm 2/10/18 reference bounds)",
     )
-    report.add_argument(
-        "--results", required=True,
-        help="campaign to report on: results file or campaign "
-        "directory under any store backend",
-    )
-    report.add_argument(
-        "--store", choices=list(STORE_BACKENDS), default="auto",
-        help="store backend (auto: detect from the path/manifest)",
-    )
-    report.add_argument("--json", action="store_true")
+    _add_shared(report, results=_REQUIRED, store="auto", json=False)
     report.set_defaults(func=cmd_report)
 
     prog = sub.add_parser(
@@ -943,11 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the campaign's results file or directory (the stream "
         "lives beside it)",
     )
-    prog.add_argument(
-        "--json", action="store_true",
-        help="machine-readable progress document (done/total, rate, "
-        "ETA, per-worker liveness)",
-    )
+    _add_shared(prog, json=False)
     prog.add_argument(
         "--follow", action="store_true",
         help="keep re-rendering the status line until the campaign "
@@ -964,35 +882,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment cell under instrumentation and print "
         "its phase-timing and engine-counter tables",
     )
-    profile.add_argument("--graph", default="gnp",
-                         help=f"{graph_kinds()}")
-    profile.add_argument("--n", type=int, default=32)
-    profile.add_argument(
-        "--algorithm", default="strong_select",
-        help=f"{algorithm_names()}",
+    _add_shared(
+        profile, graph="gnp", n=32, algorithm="strong_select",
+        adversary="greedy", p=0.5, cr="CR4", engine="reference",
+        churn="none", seed=0, max_rounds=None, json=False,
     )
-    profile.add_argument(
-        "--adversary", default="greedy", help=f"{adversary_kinds()}"
-    )
-    profile.add_argument(
-        "--p", type=float, default=0.5,
-        help="delivery probability for --adversary random",
-    )
-    profile.add_argument(
-        "--cr", default="CR4", choices=["CR1", "CR2", "CR3", "CR4"],
-        help="collision rule for the profiled cell",
-    )
-    profile.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default="reference",
-        help="execution engine to profile",
-    )
-    profile.add_argument(
-        "--churn", default="none",
-        help=f"fault-injection kind: {churn_kinds()}",
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--max-rounds", type=int, default=None)
-    profile.add_argument("--json", action="store_true")
     profile.set_defaults(func=cmd_profile)
 
     check = sub.add_parser(
@@ -1017,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule catalogue (code, contract, fix, scope)",
     )
-    check.add_argument("--json", action="store_true")
+    _add_shared(check, json=False)
     check.set_defaults(func=cmd_check)
 
     lb = sub.add_parser(

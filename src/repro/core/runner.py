@@ -17,7 +17,7 @@ directly for callers that need to customise processes before running.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.adversaries.base import Adversary
 from repro.core.decay import make_decay_processes
@@ -37,48 +37,59 @@ from repro.core.strong_select import (
 )
 from repro.core.uniform import make_uniform_processes
 from repro.graphs.dualgraph import DualGraph
+from repro.registry import Entry, Registry
 from repro.sim.engine import EngineConfig, build_engine
 from repro.sim.process import Process
 from repro.sim.trace import ExecutionTrace
 
-#: Factory signature: ``factory(n, **params) -> list of processes``.
-ProcessFactory = Callable[..., List[Process]]
+_STRONG_SELECT_PARAMS = {"s_max": int, "participate_once": bool}
 
-_REGISTRY: Dict[str, ProcessFactory] = {
-    "strong_select": make_strong_select_processes,
-    "strong_select_ks": lambda n, **kw: make_strong_select_processes(
-        n, ssf_builder=kautz_singleton_ssf, **kw
-    ),
-    "harmonic": make_harmonic_processes,
-    "round_robin": make_round_robin_processes,
-    "decay": make_decay_processes,
-    "uniform": make_uniform_processes,
-}
+#: Algorithm factories take ``(n, **params)`` and return the processes.
+ALGORITHMS = Registry(
+    "algorithm",
+    {
+        "strong_select": Entry(
+            make_strong_select_processes,
+            "deterministic Strong Select (Section 5)",
+            _STRONG_SELECT_PARAMS,
+        ),
+        "strong_select_ks": Entry(
+            lambda n, **kw: make_strong_select_processes(
+                n, ssf_builder=kautz_singleton_ssf, **kw
+            ),
+            "Strong Select on Kautz singleton SSFs",
+            _STRONG_SELECT_PARAMS,
+        ),
+        "harmonic": Entry(
+            make_harmonic_processes,
+            "randomized Harmonic Broadcast (Section 6)",
+            {"T": int, "epsilon": float, "constant": float},
+        ),
+        "round_robin": Entry(
+            make_round_robin_processes,
+            "uids transmit in fixed rotation",
+            {},
+        ),
+        "decay": Entry(
+            make_decay_processes, "classical Decay baseline", {}
+        ),
+        "uniform": Entry(
+            make_uniform_processes,
+            "transmit each round with probability c/n",
+            {"c": float},
+        ),
+    },
+)
 
-
-def algorithm_names() -> List[str]:
-    """The registered algorithm names."""
-    return sorted(_REGISTRY)
-
-
-def register_algorithm(name: str, factory: ProcessFactory) -> None:
-    """Register a custom algorithm factory under ``name``."""
-    if name in _REGISTRY:
-        raise ValueError(f"algorithm {name!r} already registered")
-    _REGISTRY[name] = factory
+algorithm_names = ALGORITHMS.kinds
+register_algorithm = ALGORITHMS.register
 
 
 def make_processes(
     algorithm: str, n: int, **params: Any
 ) -> List[Process]:
     """Instantiate the processes of a registered algorithm."""
-    try:
-        factory = _REGISTRY[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; known: {algorithm_names()}"
-        ) from None
-    return factory(n, **params)
+    return ALGORITHMS.build(algorithm, n, **params)
 
 
 def suggested_round_limit(algorithm: str, network: DualGraph) -> int:

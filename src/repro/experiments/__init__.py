@@ -23,15 +23,12 @@ count.
 """
 
 from repro.experiments.registry import (
-    adversary_descriptions,
-    adversary_kinds,
+    ADVERSARIES,
+    CHURNS,
+    GRAPHS,
     build_adversary,
     build_churn,
     build_graph,
-    churn_descriptions,
-    churn_kinds,
-    graph_descriptions,
-    graph_kinds,
     graph_seed_dependent,
     register_adversary,
     register_churn,
@@ -57,27 +54,24 @@ from repro.experiments.spec import (
 )
 
 __all__ = [
+    "ADVERSARIES",
     "AdversarySpec",
     "AlgorithmSpec",
+    "CHURNS",
     "CellBatch",
     "ChurnSpec",
     "ExperimentSpec",
+    "GRAPHS",
     "GraphSpec",
     "RunResult",
     "RunTask",
     "SweepResult",
     "SweepRunner",
-    "adversary_descriptions",
-    "adversary_kinds",
     "build_adversary",
     "build_churn",
     "build_graph",
-    "churn_descriptions",
-    "churn_kinds",
     "execute_batch",
     "execute_task",
-    "graph_descriptions",
-    "graph_kinds",
     "graph_seed_dependent",
     "load_specs",
     "plan_batches",

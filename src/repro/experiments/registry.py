@@ -1,9 +1,11 @@
-"""Name-based factories for the pieces of a sweep grid.
+"""The graph, adversary and churn vocabularies of sweep grids.
 
 Sweep tasks cross process boundaries (``multiprocessing`` workers), so an
 :class:`~repro.experiments.spec.ExperimentSpec` cannot hold live graph or
 adversary objects — it names them.  Workers resolve the names through the
-registries below, which therefore define the vocabulary of spec files.
+:class:`~repro.registry.Registry` instances below, which therefore define
+the vocabulary of spec files (together with the algorithm registry in
+:mod:`repro.core.runner`).
 
 Graph factories take ``(n, seed, **params)`` and return a
 :class:`~repro.graphs.dualgraph.DualGraph`; adversary factories take
@@ -11,9 +13,13 @@ Graph factories take ``(n, seed, **params)`` and return a
 :class:`~repro.adversaries.base.Adversary`; churn factories take
 ``(n, rounds, seed, **params)`` and return a
 :class:`~repro.sim.faults.ChurnSchedule` (or ``None`` for the
-failure-free ``"none"`` kind).  All registries are extensible via
-:func:`register_graph` / :func:`register_adversary` /
-:func:`register_churn`.
+failure-free ``"none"`` kind).  ``rounds`` is the task's *resolved*
+round cap, so rate-based schedules cover the whole horizon a run can
+reach; the seed is the task's key-derived seed, making every schedule
+reproducible from the spec alone.
+
+All registries are extensible via :func:`register_graph` /
+:func:`register_adversary` / :func:`register_churn`.
 Runtime registrations reach sweep workers on platforms with the
 ``fork`` start method (Linux, which the runner prefers); on
 spawn-only platforms (Windows) workers re-import this module, so
@@ -23,7 +29,7 @@ workers also import — or run with ``workers=1``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Optional
 
 from repro.adversaries import (
     Adversary,
@@ -45,226 +51,143 @@ from repro.graphs import (
     with_complete_unreliable,
 )
 from repro.graphs.dualgraph import DualGraph
+from repro.registry import Entry, Registry
 from repro.sim.faults import ChurnSchedule, generate_churn, window_churn
 
-GraphFactory = Callable[..., DualGraph]
-AdversaryFactory = Callable[..., Adversary]
-ChurnFactory = Callable[..., Optional[ChurnSchedule]]
 
-_GRAPHS: Dict[str, GraphFactory] = {
-    "gnp": lambda n, seed, **kw: gnp_dual(n, seed=seed, **kw),
-    "line": lambda n, seed, **kw: line(n),
-    "hard-line": lambda n, seed, **kw: with_complete_unreliable(line(n)),
-    "ring": lambda n, seed, **kw: ring(max(3, n)),
-    "grid": lambda n, seed, **kw: grid(
-        max(2, int(n**0.5)), max(2, int(n**0.5))
-    ),
-    "gray-zone": lambda n, seed, **kw: gray_zone(n, seed=seed, **kw)[0],
-    "clique-bridge": lambda n, seed, **kw: clique_bridge(max(3, n)).graph,
-    "clique-bridge-classical": lambda n, seed, **kw: clique_bridge(
-        max(3, n)
-    ).graph.classical_projection(),
-    "layered-pairs": lambda n, seed, **kw: layered_pairs(
-        n if n % 2 else n + 1
-    ).graph,
-    "pivot-layers": lambda n, seed, **kw: pivot_layers_for_n(n).graph,
-}
-
-#: Graph kinds whose factory output depends on the ``seed`` argument.
-#: Cells over these kinds cannot share one graph across their seeds, so
-#: the batched sweep path rebuilds per seed (every other built-in kind
-#: ignores the seed and is safely shared).
-_SEED_DEPENDENT_GRAPHS = {"gnp", "gray-zone"}
-
-_ADVERSARIES: Dict[str, AdversaryFactory] = {
-    "none": lambda seed, **kw: NoDeliveryAdversary(),
-    "full": lambda seed, **kw: FullDeliveryAdversary(),
-    "random": lambda seed, p=0.5, **kw: RandomDeliveryAdversary(
-        p, seed=seed
-    ),
-    "greedy": lambda seed, **kw: GreedyInterferer(),
-    "pivot": lambda seed, n, **kw: PivotAdversary(
-        pivot_layers_for_n(int(n))
-    ),
-}
-
-#: One-line descriptions rendered by ``repro list`` (and any other
-#: discoverability surface).  Registered custom kinds may supply their
-#: own via ``register_graph`` / ``register_adversary``.
-_GRAPH_DESCRIPTIONS: Dict[str, str] = {
-    "gnp": "Erdős–Rényi dual graph (seed-dependent)",
-    "line": "path graph, reliable edges only",
-    "hard-line": "path graph with complete unreliable overlay",
-    "ring": "cycle graph, reliable edges only",
-    "grid": "~sqrt(n) x sqrt(n) grid, reliable edges only",
-    "gray-zone": "geometric graph with unreliable gray zone (seeded)",
-    "clique-bridge": "Theorem 2 network: clique + bridge + receiver",
-    "clique-bridge-classical": "clique-bridge projected to G = G'",
-    "layered-pairs": "Theorem 12 network: source + width-2 layers",
-    "pivot-layers": "Theorem 11 stand-in: hidden-pivot layer chain",
-}
-
-_ADVERSARY_DESCRIPTIONS: Dict[str, str] = {
-    "none": "never delivers on unreliable links",
-    "full": "always delivers on every unreliable link",
-    "random": "delivers each unreliable edge with probability p",
-    "greedy": "GreedyInterferer: collides lone reliable receptions",
-    "pivot": "PivotAdversary: blankets the next pivot layer (needs n)",
-}
-
-#: Churn factories take ``(n, rounds, seed, **params)``.  ``rounds`` is
-#: the task's *resolved* round cap, so rate-based schedules cover the
-#: whole horizon a run can reach; the seed is the task's key-derived
-#: seed, making every schedule reproducible from the spec alone.
-_CHURNS: Dict[str, ChurnFactory] = {
-    "none": lambda n, rounds, seed, **kw: None,
-    "rate": lambda n, rounds, seed, **kw: generate_churn(
-        n, rounds, seed=seed, **kw
-    ),
-    "window": lambda n, rounds, seed, **kw: window_churn(n, **kw),
-}
-
-_CHURN_DESCRIPTIONS: Dict[str, str] = {
-    "none": "failure-free run (no fault injection)",
-    "rate": "per-round crash/recover coin flips (crash_rate, "
-    "recover_rate, rejoin)",
-    "window": "count nodes down from round start for length rounds "
-    "(count, start, length, rejoin)",
-}
+def _seed_free(description: str, build) -> Entry:
+    """A parameterless graph kind whose output ignores the seed."""
+    return Entry(
+        lambda n, seed: build(n), description, {}, seed_dependent=False
+    )
 
 
-def graph_kinds() -> List[str]:
-    """The registered graph-kind names."""
-    return sorted(_GRAPHS)
+GRAPHS = Registry(
+    "graph kind",
+    {
+        "gnp": Entry(
+            lambda n, seed, **kw: gnp_dual(n, seed=seed, **kw),
+            "Erdős–Rényi dual graph (seed-dependent)",
+            {"p_reliable": float, "p_unreliable": float},
+        ),
+        "line": _seed_free("path graph, reliable edges only", line),
+        "hard-line": _seed_free(
+            "path graph with complete unreliable overlay",
+            lambda n: with_complete_unreliable(line(n)),
+        ),
+        "ring": _seed_free(
+            "cycle graph, reliable edges only", lambda n: ring(max(3, n))
+        ),
+        "grid": _seed_free(
+            "~sqrt(n) x sqrt(n) grid, reliable edges only",
+            lambda n: grid(max(2, int(n**0.5)), max(2, int(n**0.5))),
+        ),
+        "gray-zone": Entry(
+            lambda n, seed, **kw: gray_zone(n, seed=seed, **kw)[0],
+            "geometric graph with unreliable gray zone (seeded)",
+            {"reliable_radius": float, "gray_radius": float},
+        ),
+        "clique-bridge": _seed_free(
+            "Theorem 2 network: clique + bridge + receiver",
+            lambda n: clique_bridge(max(3, n)).graph,
+        ),
+        "clique-bridge-classical": _seed_free(
+            "clique-bridge projected to G = G'",
+            lambda n: clique_bridge(max(3, n)).graph.classical_projection(),
+        ),
+        "layered-pairs": _seed_free(
+            "Theorem 12 network: source + width-2 layers",
+            lambda n: layered_pairs(n if n % 2 else n + 1).graph,
+        ),
+        "pivot-layers": _seed_free(
+            "Theorem 11 stand-in: hidden-pivot layer chain",
+            lambda n: pivot_layers_for_n(n).graph,
+        ),
+    },
+)
 
+ADVERSARIES = Registry(
+    "adversary kind",
+    {
+        "none": Entry(
+            lambda seed: NoDeliveryAdversary(),
+            "never delivers on unreliable links",
+            {},
+        ),
+        "full": Entry(
+            lambda seed: FullDeliveryAdversary(),
+            "always delivers on every unreliable link",
+            {},
+        ),
+        "random": Entry(
+            lambda seed, p=0.5: RandomDeliveryAdversary(p, seed=seed),
+            "delivers each unreliable edge with probability p",
+            {"p": float},
+        ),
+        "greedy": Entry(
+            lambda seed: GreedyInterferer(),
+            "GreedyInterferer: collides lone reliable receptions",
+            {},
+        ),
+        "pivot": Entry(
+            lambda seed, n: PivotAdversary(pivot_layers_for_n(int(n))),
+            "PivotAdversary: blankets the next pivot layer (needs n)",
+            {"n": int},
+        ),
+    },
+)
 
-def adversary_kinds() -> List[str]:
-    """The registered adversary-kind names."""
-    return sorted(_ADVERSARIES)
+CHURNS = Registry(
+    "churn kind",
+    {
+        "none": Entry(
+            lambda n, rounds, seed: None,
+            "failure-free run (no fault injection)",
+            {},
+        ),
+        "rate": Entry(
+            lambda n, rounds, seed, **kw: generate_churn(
+                n, rounds, seed=seed, **kw
+            ),
+            "per-round crash/recover coin flips",
+            {"crash_rate": float, "recover_rate": float, "rejoin": str},
+        ),
+        "window": Entry(
+            lambda n, rounds, seed, **kw: window_churn(n, **kw),
+            "count nodes down from round start for length rounds",
+            {"count": int, "start": int, "length": int, "rejoin": str},
+        ),
+    },
+)
 
-
-def churn_kinds() -> List[str]:
-    """The registered churn-kind names."""
-    return sorted(_CHURNS)
-
-
-def graph_descriptions() -> Dict[str, str]:
-    """One-line description per registered graph kind (may be empty)."""
-    return {
-        kind: _GRAPH_DESCRIPTIONS.get(kind, "") for kind in graph_kinds()
-    }
-
-
-def adversary_descriptions() -> Dict[str, str]:
-    """One-line description per registered adversary kind."""
-    return {
-        kind: _ADVERSARY_DESCRIPTIONS.get(kind, "")
-        for kind in adversary_kinds()
-    }
-
-
-def churn_descriptions() -> Dict[str, str]:
-    """One-line description per registered churn kind."""
-    return {
-        kind: _CHURN_DESCRIPTIONS.get(kind, "")
-        for kind in churn_kinds()
-    }
-
-
-def register_graph(
-    kind: str,
-    factory: GraphFactory,
-    seed_dependent: bool = True,
-    description: str = "",
-) -> None:
-    """Register a graph factory ``factory(n, seed, **params)``.
-
-    ``seed_dependent`` declares whether the factory's output varies
-    with the ``seed`` argument.  It defaults to ``True`` — the safe
-    choice, which makes batched sweeps rebuild the graph per seed —
-    and should be passed as ``False`` only for factories that ignore
-    the seed, unlocking per-cell graph/topology reuse.  ``description``
-    is the one-liner ``repro list`` prints for the kind.
-    """
-    if kind in _GRAPHS:
-        raise ValueError(f"graph kind {kind!r} already registered")
-    _GRAPHS[kind] = factory
-    if seed_dependent:
-        _SEED_DEPENDENT_GRAPHS.add(kind)
-    if description:
-        _GRAPH_DESCRIPTIONS[kind] = description
+register_graph = GRAPHS.register
+register_adversary = ADVERSARIES.register
+register_churn = CHURNS.register
 
 
 def graph_seed_dependent(kind: str) -> bool:
     """Whether a graph kind's factory output depends on the task seed.
 
-    Unknown kinds report ``True`` (the safe answer; building them
-    fails loudly elsewhere).
+    Cells over seed-dependent kinds cannot share one graph across their
+    seeds, so the batched sweep path rebuilds per seed.  Unknown kinds
+    report ``True`` (the safe answer; building them fails loudly
+    elsewhere).
     """
-    return kind in _SEED_DEPENDENT_GRAPHS or kind not in _GRAPHS
-
-
-def register_adversary(
-    kind: str, factory: AdversaryFactory, description: str = ""
-) -> None:
-    """Register an adversary factory ``factory(seed, **params)``.
-
-    ``description`` is the one-liner ``repro list`` prints for the
-    kind.
-    """
-    if kind in _ADVERSARIES:
-        raise ValueError(f"adversary kind {kind!r} already registered")
-    _ADVERSARIES[kind] = factory
-    if description:
-        _ADVERSARY_DESCRIPTIONS[kind] = description
+    return kind not in GRAPHS or GRAPHS.entry(kind).seed_dependent
 
 
 def build_graph(kind: str, n: int, seed: int = 0, **params) -> DualGraph:
     """Instantiate a registered graph kind."""
-    try:
-        factory = _GRAPHS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown graph kind {kind!r}; known: {graph_kinds()}"
-        ) from None
-    return factory(n, seed, **params)
+    return GRAPHS.build(kind, n, seed, **params)
 
 
 def build_adversary(kind: str, seed: int = 0, **params) -> Adversary:
     """Instantiate a registered adversary kind."""
-    try:
-        factory = _ADVERSARIES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown adversary kind {kind!r}; known: {adversary_kinds()}"
-        ) from None
-    return factory(seed, **params)
-
-
-def register_churn(
-    kind: str, factory: ChurnFactory, description: str = ""
-) -> None:
-    """Register a churn factory ``factory(n, rounds, seed, **params)``.
-
-    The factory returns a :class:`~repro.sim.faults.ChurnSchedule` (or
-    ``None`` for no fault injection).  ``description`` is the one-liner
-    ``repro list`` prints for the kind.
-    """
-    if kind in _CHURNS:
-        raise ValueError(f"churn kind {kind!r} already registered")
-    _CHURNS[kind] = factory
-    if description:
-        _CHURN_DESCRIPTIONS[kind] = description
+    return ADVERSARIES.build(kind, seed, **params)
 
 
 def build_churn(
     kind: str, n: int, rounds: int, seed: int = 0, **params
 ) -> Optional[ChurnSchedule]:
     """Instantiate a registered churn kind for one run's horizon."""
-    try:
-        factory = _CHURNS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown churn kind {kind!r}; known: {churn_kinds()}"
-        ) from None
-    return factory(n, rounds, seed, **params)
+    return CHURNS.build(kind, n, rounds, seed, **params)

@@ -47,6 +47,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.runner import ALGORITHMS
+from repro.experiments.registry import ADVERSARIES, CHURNS, GRAPHS
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import ENGINE_NAMES, StartMode
 
@@ -323,18 +325,21 @@ def plan_batches(tasks: Sequence[RunTask]) -> List[CellBatch]:
     return [CellBatch(tuple(group)) for group in groups.values()]
 
 
-def _coerce_algorithm(entry) -> AlgorithmSpec:
-    if isinstance(entry, AlgorithmSpec):
+def _coerce_named(cls, field: str, entry):
+    """An algorithm, adversary or churn axis entry from its shorthand.
+
+    Accepts the spec object itself, a bare name, a ``(name, params)``
+    pair, or a ``{field: name, "params": {…}}`` document.
+    """
+    if isinstance(entry, cls):
         return entry
     if isinstance(entry, str):
-        return AlgorithmSpec(entry)
+        return cls(entry)
     if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        return AlgorithmSpec(entry[0], _freeze_params(entry[1]))
+        return cls(entry[0], _freeze_params(entry[1]))
     if isinstance(entry, dict):
-        return AlgorithmSpec(
-            entry["name"], _freeze_params(entry.get("params"))
-        )
-    raise TypeError(f"cannot interpret algorithm entry {entry!r}")
+        return cls(entry[field], _freeze_params(entry.get("params")))
+    raise TypeError(f"cannot interpret {cls.__name__} entry {entry!r}")
 
 
 def _coerce_graph(entry) -> List[GraphSpec]:
@@ -353,34 +358,6 @@ def _coerce_graph(entry) -> List[GraphSpec]:
             )
         return [GraphSpec(entry["kind"], int(n), params) for n in sizes]
     raise TypeError(f"cannot interpret graph entry {entry!r}")
-
-
-def _coerce_adversary(entry) -> AdversarySpec:
-    if isinstance(entry, AdversarySpec):
-        return entry
-    if isinstance(entry, str):
-        return AdversarySpec(entry)
-    if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        return AdversarySpec(entry[0], _freeze_params(entry[1]))
-    if isinstance(entry, dict):
-        return AdversarySpec(
-            entry["kind"], _freeze_params(entry.get("params"))
-        )
-    raise TypeError(f"cannot interpret adversary entry {entry!r}")
-
-
-def _coerce_churn(entry) -> ChurnSpec:
-    if isinstance(entry, ChurnSpec):
-        return entry
-    if isinstance(entry, str):
-        return ChurnSpec(entry)
-    if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        return ChurnSpec(entry[0], _freeze_params(entry[1]))
-    if isinstance(entry, dict):
-        return ChurnSpec(
-            entry["kind"], _freeze_params(entry.get("params"))
-        )
-    raise TypeError(f"cannot interpret churn entry {entry!r}")
 
 
 def _coerce_rule(entry) -> str:
@@ -474,16 +451,30 @@ class ExperimentSpec:
         object.__setattr__(
             self,
             "algorithms",
-            tuple(_coerce_algorithm(a) for a in self.algorithms),
+            tuple(
+                _coerce_named(AlgorithmSpec, "name", a)
+                for a in self.algorithms
+            ),
         )
         graphs: List[GraphSpec] = []
-        for entry in self.graphs:
-            graphs.extend(_coerce_graph(entry))
+        for i, entry in enumerate(self.graphs):
+            # A ``sizes`` entry expands to one GraphSpec per size.
+            for graph in _coerce_graph(entry):
+                GRAPHS.check(
+                    graph.kind,
+                    graph.params,
+                    f"graphs[{i}].kind",
+                    f"graphs[{i}].params",
+                )
+                graphs.append(graph)
         object.__setattr__(self, "graphs", tuple(graphs))
         object.__setattr__(
             self,
             "adversaries",
-            tuple(_coerce_adversary(a) for a in self.adversaries),
+            tuple(
+                _coerce_named(AdversarySpec, "kind", a)
+                for a in self.adversaries
+            ),
         )
         object.__setattr__(
             self,
@@ -503,9 +494,24 @@ class ExperimentSpec:
         object.__setattr__(
             self,
             "churns",
-            tuple(_coerce_churn(c) for c in self.churns),
+            tuple(_coerce_named(ChurnSpec, "kind", c) for c in self.churns),
         )
         object.__setattr__(self, "seeds", _coerce_seeds(self.seeds))
+        # Kinds and params are checked against their registries once
+        # per axis entry (graphs above), so bad input fails before any
+        # task runs.
+        for axis, registry, field in (
+            ("algorithms", ALGORITHMS, "name"),
+            ("adversaries", ADVERSARIES, "kind"),
+            ("churns", CHURNS, "kind"),
+        ):
+            for i, entry in enumerate(getattr(self, axis)):
+                registry.check(
+                    getattr(entry, field),
+                    entry.params,
+                    f"{axis}[{i}].{field}",
+                    f"{axis}[{i}].params",
+                )
         if not (
             self.algorithms
             and self.graphs

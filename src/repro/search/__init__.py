@@ -53,14 +53,13 @@ from repro.search.persist import (
     search_fingerprint,
 )
 from repro.search.searchers import (
+    SEARCHERS,
     GreedyLookaheadSearch,
     LocalMutationSearch,
     RandomRestartSearch,
     Searcher,
     build_searcher,
     register_searcher,
-    searcher_descriptions,
-    searcher_kinds,
 )
 
 __all__ = [
@@ -75,6 +74,7 @@ __all__ = [
     "LocalMutationSearch",
     "PopulationEvaluator",
     "RandomRestartSearch",
+    "SEARCHERS",
     "SearchBudget",
     "SearchResult",
     "SearchSettings",
@@ -87,8 +87,6 @@ __all__ = [
     "search_fingerprint",
     "register_searcher",
     "run_search",
-    "searcher_descriptions",
-    "searcher_kinds",
     "supports_theorem2",
     "theorem2_comparison",
     "verify_replay",

@@ -31,21 +31,24 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.runner import make_processes, suggested_round_limit
-from repro.experiments.registry import build_graph
+from repro.core.runner import (
+    ALGORITHMS,
+    make_processes,
+    suggested_round_limit,
+)
+from repro.experiments.registry import GRAPHS, build_graph
 from repro.experiments.spec import Params, _fmt_params, _freeze_params
 from repro.graphs.dualgraph import DualGraph
 from repro.search.genome import StrategyGenome
 from repro.sim.collision import CollisionRule
-from repro.sim.engine import EngineConfig, StartMode, build_engine
+from repro.sim.engine import (
+    ENGINE_NAMES,
+    EngineConfig,
+    StartMode,
+    build_engine,
+)
 from repro.sim.fast_engine import CompiledTopology, compile_topology
 from repro.sim.trace import ExecutionTrace
-
-#: Engine preferences accepted by :attr:`SearchSettings.engine`.
-#: ``auto`` takes the fast engine; explicit names force one
-#: implementation.
-SEARCH_ENGINES = ("auto", "reference", "fast")
-
 
 @dataclass(frozen=True)
 class SearchSettings:
@@ -64,7 +67,7 @@ class SearchSettings:
     start_mode: str = "synchronous"
     seed: int = 0
     max_rounds: Optional[int] = None
-    engine: str = "auto"
+    engine: str = "fast"
     #: When true, genomes carry crash genes and every evaluation runs
     #: under the genome's compiled churn schedule — the adversary
     #: co-optimises crash timing alongside edge deliveries.
@@ -83,11 +86,20 @@ class SearchSettings:
                 f"{list(CollisionRule.__members__)}"
             )
         StartMode(self.start_mode)  # raises ValueError on unknown modes
-        if self.engine not in SEARCH_ENGINES:
+        if self.engine not in ENGINE_NAMES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; "
-                f"known: {list(SEARCH_ENGINES)}"
+                f"known: {list(ENGINE_NAMES)}"
             )
+        ALGORITHMS.check(
+            self.algorithm,
+            self.algorithm_params,
+            "algorithm",
+            "algorithm_params",
+        )
+        GRAPHS.check(
+            self.graph_kind, self.graph_params, "graph_kind", "graph_params"
+        )
 
     @property
     def key(self) -> str:
@@ -202,9 +214,7 @@ class EvaluationContext:
         """Run one genome and return its trace and the engine used."""
         adversary = genome.build_adversary()
         if engine is None:
-            engine = (
-                "reference" if self.settings.engine == "reference" else "fast"
-            )
+            engine = self.settings.engine
         processes = make_processes(
             self.settings.algorithm,
             self.graph.n,

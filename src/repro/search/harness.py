@@ -101,7 +101,7 @@ def run_search(
     Args:
         settings: The search cell (algorithm, graph, CR, start mode …).
         searcher: Registered searcher kind
-            (:func:`repro.search.searchers.searcher_kinds`).
+            (``repro.search.searchers.SEARCHERS``).
         budget: Evaluation budget and batch size.
         seed: Search seed driving candidate generation (the engine seed
             is derived from the cell, independently — two searches with

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.runner import make_processes, suggested_round_limit
 from repro.lowerbounds.sandbox import SandboxProcess
+from repro.registry import Entry, Registry
 from repro.search.evaluate import CandidateScore, SearchSettings
 from repro.search.genome import GenomeSpace, StrategyGenome
 from repro.sim.collision import CollisionRule, resolve_reception
@@ -409,40 +410,29 @@ def _random_pattern(
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-SearcherFactory = Callable[..., Searcher]
+#: Searcher factories take ``(space, settings, **params)``.
+SEARCHERS = Registry(
+    "searcher kind",
+    {
+        RandomRestartSearch.kind: Entry(
+            RandomRestartSearch,
+            "independent random genomes (restart baseline)",
+            {},
+        ),
+        LocalMutationSearch.kind: Entry(
+            LocalMutationSearch,
+            "(1+1) hill climber mutating the incumbent genome",
+            {},
+        ),
+        GreedyLookaheadSearch.kind: Entry(
+            GreedyLookaheadSearch,
+            "round-by-round construction, sandbox-clone lookahead",
+            {"random_patterns": int},
+        ),
+    },
+)
 
-_SEARCHERS: Dict[str, SearcherFactory] = {
-    RandomRestartSearch.kind: RandomRestartSearch,
-    LocalMutationSearch.kind: LocalMutationSearch,
-    GreedyLookaheadSearch.kind: GreedyLookaheadSearch,
-}
-
-_DESCRIPTIONS: Dict[str, str] = {
-    "random": "independent random genomes (restart baseline)",
-    "local": "(1+1) hill climber mutating the incumbent genome",
-    "greedy": "round-by-round construction, sandbox-clone lookahead",
-}
-
-
-def searcher_kinds() -> List[str]:
-    """The registered searcher-kind names."""
-    return sorted(_SEARCHERS)
-
-
-def searcher_descriptions() -> Dict[str, str]:
-    """One-line description per registered searcher kind."""
-    return {kind: _DESCRIPTIONS.get(kind, "") for kind in searcher_kinds()}
-
-
-def register_searcher(
-    kind: str, factory: SearcherFactory, description: str = ""
-) -> None:
-    """Register a searcher factory ``factory(space, settings, **params)``."""
-    if kind in _SEARCHERS:
-        raise ValueError(f"searcher kind {kind!r} already registered")
-    _SEARCHERS[kind] = factory
-    if description:
-        _DESCRIPTIONS[kind] = description
+register_searcher = SEARCHERS.register
 
 
 def build_searcher(
@@ -452,10 +442,4 @@ def build_searcher(
     **params,
 ) -> Searcher:
     """Instantiate a registered searcher kind."""
-    try:
-        factory = _SEARCHERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown searcher kind {kind!r}; known: {searcher_kinds()}"
-        ) from None
-    return factory(space, settings, **params)
+    return SEARCHERS.build(kind, space, settings, **params)

@@ -273,22 +273,36 @@ class TestList:
         assert "strong_select" in out
         assert "greedy" in out and "lookahead" in out
 
-    def test_lists_runtime_registrations(self, capsys):
+    def test_lists_runtime_registrations(self, capsys, monkeypatch):
         from repro.experiments import registry
 
+        monkeypatch.setattr(
+            registry.ADVERSARIES, "entries",
+            dict(registry.ADVERSARIES.entries),
+        )
         registry.register_adversary(
             "cli-test-adv",
             lambda seed, **kw: None,
             description="registered at runtime",
         )
-        try:
-            main(["list"])
-            out = capsys.readouterr().out
-            assert "cli-test-adv" in out
-            assert "registered at runtime" in out
-        finally:
-            del registry._ADVERSARIES["cli-test-adv"]
-            del registry._ADVERSARY_DESCRIPTIONS["cli-test-adv"]
+        main(["list"])
+        out = capsys.readouterr().out
+        assert "cli-test-adv" in out
+        assert "registered at runtime" in out
+        assert "(undeclared)" in out
+
+    def test_lists_declared_params(self, capsys):
+        assert main(["list", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["adversaries"]["pivot"]["params"] == {"n": "int"}
+        assert doc["graphs"]["gnp"]["params"] == {
+            "p_reliable": "float", "p_unreliable": "float",
+        }
+        assert doc["algorithms"]["harmonic"]["params"] == {
+            "T": "int", "constant": "float", "epsilon": "float",
+        }
+        assert doc["churns"]["window"]["params"]["count"] == "int"
+        assert doc["graphs"]["line"]["params"] == {}
 
 
 class TestSearch:

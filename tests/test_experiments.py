@@ -215,22 +215,15 @@ class TestRegistry:
         assert result.records[0].adversary_kind == "pivot"
 
     def test_descriptions_cover_every_kind(self):
-        from repro.experiments import (
-            adversary_descriptions,
-            adversary_kinds,
-            graph_descriptions,
-            graph_kinds,
-        )
+        from repro.experiments import ADVERSARIES, GRAPHS
 
-        assert set(graph_descriptions()) == set(graph_kinds())
-        assert set(adversary_descriptions()) == set(adversary_kinds())
         # Every built-in kind carries a one-liner (runtime-registered
-        # test kinds may omit theirs and map to the empty string).
+        # test kinds may omit theirs).
         missing = [
             kind
-            for table in (graph_descriptions(), adversary_descriptions())
-            for kind, desc in table.items()
-            if not desc and not kind.startswith("test-")
+            for registry in (GRAPHS, ADVERSARIES)
+            for kind, entry in registry.items()
+            if not entry.description and not kind.startswith("test-")
         ]
         assert not missing
 

@@ -36,12 +36,12 @@ from repro.adversaries.scripted import ReplayAdversary
 from repro.analysis.report import CampaignReport
 from repro.core.runner import broadcast, make_processes
 from repro.experiments import (
+    CHURNS,
     ChurnSpec,
     ExperimentSpec,
     RunResult,
     SweepRunner,
     build_churn,
-    churn_kinds,
     plan_batches,
     run_sweep,
 )
@@ -354,7 +354,7 @@ def spec_with(churns, seeds=(0, 1), **overrides):
 
 class TestSweepAxis:
     def test_registry_has_the_builtin_kinds(self):
-        assert set(churn_kinds()) >= {"none", "rate", "window"}
+        assert set(CHURNS.kinds()) >= {"none", "rate", "window"}
         assert build_churn("none", n=8, rounds=10) is None
         sched = build_churn(
             "window", n=8, rounds=10, count=2, start=3, length=4

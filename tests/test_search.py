@@ -2,12 +2,14 @@
 
 import json
 import random
+import re
 
 import pytest
 
 from repro.adversaries.scripted import ReplayAdversary
 from repro.core.runner import make_processes
 from repro.search import (
+    SEARCHERS,
     CandidateRecord,
     EvaluationContext,
     PopulationEvaluator,
@@ -18,7 +20,6 @@ from repro.search import (
     make_space,
     register_searcher,
     run_search,
-    searcher_kinds,
     theorem2_comparison,
 )
 from repro.search.persist import candidate_key
@@ -59,6 +60,34 @@ class TestSearchSettings:
                 algorithm="round_robin", graph_kind="line", n=4,
                 engine="warp",
             )
+        # ``auto`` always meant the fast engine; fast is the default.
+        with pytest.raises(ValueError, match="engine"):
+            SearchSettings(
+                algorithm="round_robin", graph_kind="line", n=4,
+                engine="auto",
+            )
+        assert CELL.engine == "fast"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"algorithm": "nope"}, "algorithm: unknown algorithm 'nope'"),
+            ({"graph_kind": "nope"}, "graph_kind: unknown graph kind"),
+            (
+                {"algorithm_params": {"T": "a"}, "algorithm": "harmonic"},
+                "algorithm_params.T: expected int, got 'a'",
+            ),
+            (
+                {"graph_params": {"bogus": 1}},
+                "graph_params.bogus: graph kind 'line' takes no param",
+            ),
+        ],
+    )
+    def test_cell_validated_against_registries(self, fields, message):
+        doc = dict(algorithm="round_robin", graph_kind="line", n=4)
+        doc.update(fields)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SearchSettings(**doc)
 
 
 class TestEvaluation:
@@ -83,7 +112,7 @@ class TestEvaluation:
     def test_fast_and_reference_engines_agree(self):
         space = make_space(CELL)
         genome = space.random(random.Random(5))
-        auto = EvaluationContext(CELL).evaluate(genome)
+        default = EvaluationContext(CELL).evaluate(genome)
         ref = EvaluationContext(
             SearchSettings(
                 algorithm="round_robin",
@@ -92,10 +121,10 @@ class TestEvaluation:
                 engine="reference",
             )
         ).evaluate(genome)
-        assert auto.engine == "fast"
+        assert default.engine == "fast"
         assert ref.engine == "reference"
-        assert auto.objective == ref.objective
-        assert auto.completion_round == ref.completion_round
+        assert default.objective == ref.objective
+        assert default.completion_round == ref.completion_round
 
     def test_cr4_genes_stay_on_fast_engine(self):
         """CR4 genomes with resolution genes score on the fast engine
@@ -319,7 +348,7 @@ class TestRunSearch:
             register_searcher("random", object)
 
     def test_searcher_kinds(self):
-        assert {"random", "local", "greedy"} <= set(searcher_kinds())
+        assert {"random", "local", "greedy"} <= set(SEARCHERS.kinds())
 
 
 class TestReplayCertification:
