@@ -9,6 +9,9 @@ rounds are compared for every workload, and the full trace-equality
 guarantee is enforced separately by
 ``tests/test_fast_engine_equivalence.py``.
 
+The round-robin and Strong Select rows run on the fast engine's
+oblivious-schedule path (only the round's scheduled processes are asked
+to decide), the uniform and harmonic rows on its per-process loop.
 The table also reports an adversarial collision-heavy row and the
 dense-sender small-diameter worst case, where every node is reached
 every round and the bitmask algebra can only match the reference

@@ -15,10 +15,29 @@ This is the matching upper bound for Theorem 2's ``Ω(n)`` on
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from repro.sim.messages import Message
 from repro.sim.process import Process, ProcessContext
+
+
+@dataclass(frozen=True)
+class RoundRobinSchedule:
+    """The oblivious round-robin schedule: uid ``(r − 1) mod n`` may
+    send in round ``r``."""
+
+    n: int
+
+    def uids_at(self, r: int) -> Tuple[int]:
+        """The single uid scheduled in global round ``r``."""
+        return ((r - 1) % self.n,)
+
+
+@lru_cache(maxsize=None)
+def _shared_schedule(n: int) -> RoundRobinSchedule:
+    return RoundRobinSchedule(n)
 
 
 class RoundRobinProcess(Process):
@@ -27,6 +46,15 @@ class RoundRobinProcess(Process):
     def __init__(self, uid: int, n: Optional[int] = None) -> None:
         super().__init__(uid)
         self._n = n
+
+    def send_schedule(self) -> Optional[RoundRobinSchedule]:
+        """The shared rotation; ``None`` when ``n`` is left to the
+        context or the uid lies outside ``[0, n)`` (it then sends in
+        the slot of ``uid mod n``, which the schedule does not name)."""
+        n = self._n
+        if n is None or not 0 <= self.uid < n:
+            return None
+        return _shared_schedule(n)
 
     def decide_send(self, ctx: ProcessContext) -> Optional[Message]:
         if not self.has_message:

@@ -143,6 +143,11 @@ class StrongSelectSchedule:
         fam = self.family(s)
         return s, fam[p % len(fam)]
 
+    def uids_at(self, r: int) -> FrozenSet[int]:
+        """The uids that may transmit in round ``r``: ``F_s[p mod ℓ_s]``
+        (the :class:`~repro.sim.process.SendSchedule` protocol)."""
+        return self.scheduled_set(r)[1]
+
     # ------------------------------------------------------------------
     # Analysis quantities
     # ------------------------------------------------------------------
@@ -229,6 +234,17 @@ class StrongSelectProcess(Process):
         self.schedule = schedule
         self.participate_once = participate_once
         self._windows: Optional[Dict[int, Tuple[int, int]]] = None
+
+    def send_schedule(self) -> StrongSelectSchedule:
+        """The shared schedule: a process sends only when its uid is in
+        the round's scheduled set."""
+        return self.schedule
+
+    def on_crash(self) -> None:
+        """Forget the participation windows with the payload: after an
+        uninformed rejoin they restart from the new informing round."""
+        super().on_crash()
+        self._windows = None
 
     def _ensure_windows(self) -> None:
         """Fix the per-level participation windows once informed."""

@@ -17,7 +17,6 @@ by comparing the two engines observation-for-observation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -104,11 +103,7 @@ class InterferenceEngine:
             v: p for v, p in zip(range(network.n), processes)
         }
         self._contexts = {
-            v: ProcessContext(
-                round_number=0,
-                rng=random.Random(f"{seed}:{p.uid}"),
-                n=network.n,
-            )
+            v: ProcessContext.lazy(f"{seed}:{p.uid}", network.n)
             for v, p in self.process_at.items()
         }
         self._active: set = set()

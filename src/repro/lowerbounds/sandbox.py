@@ -18,7 +18,6 @@ seeds).
 from __future__ import annotations
 
 import copy
-import random
 from typing import Optional
 
 from repro.sim.messages import (
@@ -43,6 +42,10 @@ class SandboxProcess:
         seed: Seed for the context PRNG (only consulted by probabilistic
             automata, which the constructions do not support; present for
             interface completeness).
+        rng_key: Key of the context PRNG stream, overriding the
+            ``f"sandbox:{seed}:{uid}"`` default (pass the engine's
+            ``f"{seed}:{uid}"`` to replay an engine run's draws).  The
+            PRNG is seeded on first draw either way.
     """
 
     def __init__(
@@ -51,14 +54,13 @@ class SandboxProcess:
         n: int,
         payload: object,
         seed: int = 0,
+        rng_key: Optional[str] = None,
     ) -> None:
         self.process = process
         self.payload = payload
-        self.ctx = ProcessContext(
-            round_number=0,
-            rng=random.Random(f"sandbox:{seed}:{process.uid}"),
-            n=n,
-        )
+        if rng_key is None:
+            rng_key = f"sandbox:{seed}:{process.uid}"
+        self.ctx = ProcessContext.lazy(rng_key, n)
 
     @property
     def uid(self) -> int:

@@ -197,11 +197,12 @@ class GreedyLookaheadSearch(Searcher):
         eseed = settings.derived_seed
         sandboxes: Dict[int, SandboxProcess] = {}
         for node in graph.nodes:
-            sb = SandboxProcess(by_uid[proc[node]], n, _PAYLOAD)
             # Match the engine's per-process RNG stream so the lookahead
             # simulation and the engine evaluation see identical draws.
-            sb.ctx.rng = random.Random(f"{eseed}:{proc[node]}")
-            sandboxes[node] = sb
+            sandboxes[node] = SandboxProcess(
+                by_uid[proc[node]], n, _PAYLOAD,
+                rng_key=f"{eseed}:{proc[node]}",
+            )
 
         source = graph.source
         sandboxes[source].give_broadcast_input()

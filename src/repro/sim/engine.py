@@ -27,7 +27,6 @@ this is exactly the behaviour the Theorem 12 construction exploits).
 from __future__ import annotations
 
 import enum
-import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import (
@@ -170,12 +169,11 @@ class BroadcastEngine:
         #: node → process uid
         self.proc_map = dict(proc_map)
 
+        # Per-process PRNGs are seeded from f"{seed}:{uid}" on first
+        # draw, so algorithms that never draw never pay for seeding.
+        seed = self.config.seed
         self._contexts: Dict[int, ProcessContext] = {
-            node: ProcessContext(
-                round_number=0,
-                rng=random.Random(f"{self.config.seed}:{p.uid}"),
-                n=network.n,
-            )
+            node: ProcessContext.lazy(f"{seed}:{p.uid}", network.n)
             for node, p in self.process_at.items()
         }
         self._active: set = set()

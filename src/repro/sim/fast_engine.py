@@ -27,6 +27,11 @@ of per-node message lists:
   nodes each round instead of every active node.  Classes overriding
   either hook (e.g. the gossip extension) are tracked in an observer
   mask and keep the reference engine's full delivery discipline.
+* When every process declares one equal oblivious schedule
+  (:meth:`~repro.sim.process.Process.send_schedule`: round robin,
+  Strong Select), phase 1 asks only the round's scheduled active nodes
+  to decide — a cached uid-to-node mask ANDed with the active mask —
+  instead of every active process.
 * The per-message reference path is kept for the two places set algebra
   cannot express: CR4 collisions at non-senders (the adversary must be
   consulted with the full arrival list, reconstructed in the reference
@@ -42,14 +47,23 @@ does not ask for the reference oracle on this engine.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.adversaries.base import Adversary
 from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.engine import BroadcastEngine
 from repro.sim.messages import COLLISION, Message, Reception, SILENCE, received
-from repro.sim.process import Process, ProcessContext
+from repro.sim.process import Process, ProcessContext, SendSchedule
 from repro.sim.trace import RoundRecord
 
 
@@ -122,6 +136,26 @@ def _observes_non_messages(process: Process) -> bool:
     )
 
 
+def _common_schedule(
+    processes: Iterable[Process],
+) -> Optional[SendSchedule]:
+    """The oblivious schedule every process follows, or ``None``.
+
+    Schedule-free algorithms (the :meth:`Process.send_schedule`
+    default) end the check at their first process.
+    """
+    common: Optional[SendSchedule] = None
+    for process in processes:
+        schedule = process.send_schedule()
+        if schedule is None:
+            return None
+        if common is None:
+            common = schedule
+        elif schedule is not common and schedule != common:
+            return None
+    return common
+
+
 class FastBroadcastEngine(BroadcastEngine):
     """Bitmask drop-in for :class:`~repro.sim.engine.BroadcastEngine`.
 
@@ -169,6 +203,16 @@ class FastBroadcastEngine(BroadcastEngine):
         self._cr4_default_silence = (
             type(self.adversary).resolve_cr4 is Adversary.resolve_cr4
         )
+        # One oblivious schedule shared by every process: phase 1 then
+        # asks only the round's scheduled active nodes to decide.  The
+        # node mask of each scheduled uid collection is cached.
+        self._schedule = _common_schedule(self.process_at.values())
+        self._schedule_masks: Dict[Collection[int], int] = {}
+        self._node_of_uid: Dict[int, int] = (
+            {uid: v for v, uid in self.proc_map.items()}
+            if self._schedule is not None
+            else {}
+        )
 
     def _insert_active(self, node: int) -> None:
         self._active_mask |= self._bit[node]
@@ -212,6 +256,45 @@ class FastBroadcastEngine(BroadcastEngine):
             self._triples_dirty = False
         return self._triples
 
+    def _decide_senders(self, rnd: int) -> Dict[int, Message]:
+        """Phase 1: collect the round's senders in ascending node order.
+
+        Only the contexts of processes asked to decide advance here;
+        every other context is refreshed in phase 4 just before it
+        observes anything.
+        """
+        senders: Dict[int, Message] = {}
+        schedule = self._schedule
+        if schedule is None:
+            for node, process, ctx in self._active_triples():
+                ctx.round_number = rnd
+                msg = process.decide_send(ctx)
+                if msg is not None:
+                    senders[node] = msg
+            return senders
+        # Oblivious schedule: every process outside uids_at(rnd) would
+        # return None, so only the scheduled active nodes are asked.
+        uids = schedule.uids_at(rnd)
+        due = self._schedule_masks.get(uids)
+        if due is None:
+            node_of = self._node_of_uid
+            bit = self._bit
+            due = sum(bit[node_of[u]] for u in uids if u in node_of)
+            self._schedule_masks[uids] = due
+        due &= self._active_mask
+        process_at = self.process_at
+        contexts = self._contexts
+        while due:
+            low = due & -due
+            node = low.bit_length() - 1
+            due ^= low
+            ctx = contexts[node]
+            ctx.round_number = rnd
+            msg = process_at[node].decide_send(ctx)
+            if msg is not None:
+                senders[node] = msg
+        return senders
+
     def _step(self) -> RoundRecord:
         self._round += 1
         rnd = self._round
@@ -225,17 +308,9 @@ class FastBroadcastEngine(BroadcastEngine):
         crashed_now, recovered_now = self._apply_churn(rnd)
         crashed_mask = self._crashed_mask
 
-        # Phase 1: decisions.  Only active contexts advance here; a
-        # sleeping process's context is observed solely at wake-up, so
-        # its round counter is refreshed then (`wake` below).  Ascending
-        # node order gives `senders` the insertion order the reference
-        # engine guarantees.
-        senders: Dict[int, Message] = {}
-        for node, process, ctx in self._active_triples():
-            ctx.round_number = rnd
-            msg = process.decide_send(ctx)
-            if msg is not None:
-                senders[node] = msg
+        # Phase 1: decisions (ascending node order, the insertion order
+        # the reference engine guarantees).
+        senders = self._decide_senders(rnd)
 
         # Phase 2: adversary (shared with the reference engine).
         view = self._adversary_view(rnd, senders)
@@ -409,15 +484,17 @@ class FastBroadcastEngine(BroadcastEngine):
             # of Reception.is_message (a MESSAGE reception always carries
             # a message; the other kinds never do).
             is_message = reception.message is not None
-            if not active_mask & b:
-                if is_message:
-                    contexts[node].round_number = rnd  # wake mid-round
-                    newly_active.append(node)
-                    self._activate(node)
-                else:
-                    continue  # sleeping processes observe nothing
-            elif not is_message and not observer_mask & b:
-                continue  # provably inert delivery
+            awake = active_mask & b
+            if not is_message and not (awake and observer_mask & b):
+                # Sleeping processes observe nothing; a non-observer
+                # provably ignores a non-message delivery.
+                continue
+            # Phase 1 may have skipped this context; on_activate and
+            # deliver must observe the current round.
+            contexts[node].round_number = rnd
+            if not awake:
+                newly_active.append(node)  # wake mid-round
+                self._activate(node)
             process = process_at[node]
             was_informed = informed_round[node] is not None
             deliver(node, process, reception)

@@ -14,6 +14,11 @@ Concretely, subclasses implement two hooks:
 * :meth:`Process.on_reception` — called at the end of the round with the
   process's observation (silence / message / collision notification).
 
+Deterministic algorithms whose senders are a pure function of the round
+(round robin, Strong Select) may also declare that *oblivious schedule*
+through :meth:`Process.send_schedule`, which lets the fast engine skip
+the ``decide_send`` calls the schedule proves return ``None``.
+
 Activation follows the paper's two start rules: under *synchronous start*
 all processes are active from round 1; under *asynchronous start* a process
 is activated by its first actual message reception (the engine invokes
@@ -24,13 +29,11 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Collection, Iterable, Optional, Protocol
 
 from repro.sim.messages import Message, Reception
 
 
-@dataclass
 class ProcessContext:
     """Per-round information the engine exposes to a process.
 
@@ -41,15 +44,68 @@ class ProcessContext:
             and every node adopts the stamp on first reception).
         rng: A process-private deterministic PRNG.  Probabilistic automata
             must draw all randomness from this generator so executions are
-            reproducible given a seed.
+            reproducible given a seed.  A context built with an
+            ``rng_key`` (see :meth:`lazy`) seeds ``random.Random(rng_key)``
+            on first access, so deterministic automata, which never draw,
+            never pay for seeding; the stream is the same either way.
         n: The number of processes in the system, which the paper's
             algorithms are allowed to know (both Strong Select and Harmonic
             Broadcast are parameterized by ``n``).
     """
 
-    round_number: int
-    rng: random.Random
-    n: int
+    __slots__ = ("round_number", "n", "_rng", "_rng_key")
+
+    def __init__(
+        self,
+        round_number: int,
+        rng: Optional[random.Random],
+        n: int,
+        *,
+        rng_key: Optional[str] = None,
+    ) -> None:
+        if rng is None and rng_key is None:
+            raise ValueError("a context needs an rng or an rng_key")
+        self.round_number = round_number
+        self.n = n
+        self._rng = rng
+        self._rng_key = rng_key
+
+    @classmethod
+    def lazy(cls, rng_key: str, n: int) -> "ProcessContext":
+        """A round-0 context whose PRNG is seeded from ``rng_key`` on
+        first use (engines pass ``f"{seed}:{uid}"``)."""
+        return cls(0, None, n, rng_key=rng_key)
+
+    @property
+    def rng(self) -> random.Random:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._rng_key)
+        return rng
+
+    @rng.setter
+    def rng(self, value: random.Random) -> None:
+        self._rng = value
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"ProcessContext(round_number={self.round_number}, "
+            f"n={self.n}, rng_key={self._rng_key!r})"
+        )
+
+
+class SendSchedule(Protocol):
+    """An oblivious transmission schedule (see
+    :meth:`Process.send_schedule`).
+
+    Implementations are immutable and compare by value.  ``uids_at``
+    returns a hashable collection (a tuple or frozenset): engines key
+    their uid-to-node mask cache on it.
+    """
+
+    def uids_at(self, r: int) -> Collection[int]:
+        """The uids that may transmit in global round ``r``."""
+        ...
 
 
 class Process(abc.ABC):
@@ -162,6 +218,23 @@ class Process(abc.ABC):
     def on_reception(self, ctx: ProcessContext, reception: Reception) -> None:
         """Observe the end-of-round outcome.  Default: no-op."""
 
+    def send_schedule(self) -> Optional[SendSchedule]:
+        """The oblivious schedule this process follows, if any.
+
+        A process may return a schedule only if :meth:`decide_send`
+        returns ``None`` in every round ``r`` whose
+        ``schedule.uids_at(r)`` does not contain its uid, and only if
+        skipping such a call is unobservable (caching a pure function
+        of the process's own state is fine; drawing from the PRNG or
+        counting calls is not).  When
+        every process of an execution returns an equal schedule, the
+        fast engine asks only the round's scheduled processes to decide.
+        A subclass that overrides ``decide_send`` must re-establish the
+        contract or return ``None``.  Default: ``None`` (no schedule;
+        every active process is asked every round).
+        """
+        return None
+
     # ------------------------------------------------------------------
     # Helpers for subclasses
     # ------------------------------------------------------------------
@@ -204,7 +277,7 @@ class ScriptedProcess(Process):
     def __init__(
         self,
         uid: int,
-        send_rounds,
+        send_rounds: Iterable[int],
         send_without_message: bool = False,
     ) -> None:
         super().__init__(uid)

@@ -6,7 +6,8 @@ Two layers:
   contract as mypy's ``disallow_untyped_defs``/
   ``disallow_incomplete_defs`` on the fully-typed packages
   (``repro.check``, ``repro.core``, ``repro.obs``, ``repro.store``)
-  and on the public surface of the fast engine.  It runs everywhere,
+  and module (``repro.sim.process``), and on the public surface of
+  the fast engine.  It runs everywhere,
   including environments without mypy.
 * The real pinned-mypy run (the CI static-analysis job's command),
   executed when mypy is importable and skipped otherwise; marked
@@ -26,6 +27,7 @@ FULLY_TYPED = [
     SRC / "repro" / "core",
     SRC / "repro" / "obs",
     SRC / "repro" / "store",
+    SRC / "repro" / "sim" / "process.py",
 ]
 PUBLIC_TYPED = [
     SRC / "repro" / "sim" / "fast_engine.py",
@@ -125,6 +127,7 @@ def test_mypy_gate_passes():
             "-p", "repro.obs",
             "-p", "repro.store",
             "-m", "repro.sim.fast_engine",
+            "-m", "repro.sim.process",
         ]
     )
     assert status == 0, f"mypy gate failed:\n{stdout}\n{stderr}"

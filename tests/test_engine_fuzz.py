@@ -12,6 +12,11 @@ suites pin pointwise:
 * **Semantics** — the recorded execution passes the independent
   Section 2.1 checker (``repro.sim.validation``), which shares no code
   with any engine.
+* **Schedule soundness** — for every algorithm that declares an
+  oblivious send schedule (``Process.send_schedule``), the reference
+  engine, which still asks every active process, never sees a
+  ``decide_send`` return a message outside ``uids_at(r)``: the premise
+  that lets the fast engine skip those calls.
 
 The adversary pool includes the real CR4 resolvers (greedy, pivot,
 random, search genomes), so the fast engine's inline consult path is
@@ -68,13 +73,29 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
-ALGORITHMS = (
+#: Fuzz algorithm names → (registry kind, factory params).
+ALGORITHM_CASES = {
+    "round_robin": ("round_robin", {}),
+    "harmonic": ("harmonic", {}),
+    "uniform": ("uniform", {}),
+    "decay": ("decay", {}),
+    "strong_select": ("strong_select", {}),
+    "strong_select_ks": ("strong_select_ks", {}),
+    "strong_select_cycling": ("strong_select", {"participate_once": False}),
+}
+ALGORITHMS = tuple(ALGORITHM_CASES)
+#: The algorithms whose processes declare an oblivious send schedule.
+SCHEDULE_ALGORITHMS = (
     "round_robin",
-    "harmonic",
-    "uniform",
-    "decay",
     "strong_select",
+    "strong_select_ks",
+    "strong_select_cycling",
 )
+
+
+def make_fuzz_processes(algorithm, n):
+    kind, params = ALGORITHM_CASES[algorithm]
+    return make_processes(kind, n, **params)
 #: "pivot" and "genome" carry real, stateful CR4 resolvers; the first
 #: four are the classic pool.  Every kind is rebuildable from (kind,
 #: seed, graph, horizon) alone, so each engine's run gets an
@@ -163,9 +184,9 @@ def churned_graphs(draw):
     return graph, churn
 
 
-def run_one(engine, graph, algorithm, adversary_kind, rule, start_mode,
-            seed, max_rounds, record, churn=None):
-    processes = make_processes(algorithm, graph.n)
+def build_one(engine, graph, algorithm, adversary_kind, rule, start_mode,
+              seed, max_rounds, record, churn=None):
+    processes = make_fuzz_processes(algorithm, graph.n)
     adversary = make_fuzz_adversary(adversary_kind, seed, graph, max_rounds)
     config = EngineConfig(
         collision_rule=rule,
@@ -176,7 +197,11 @@ def run_one(engine, graph, algorithm, adversary_kind, rule, start_mode,
         engine=engine,
         churn=churn,
     )
-    return build_engine(graph, processes, adversary, config).run()
+    return build_engine(graph, processes, adversary, config)
+
+
+def run_one(*args, **kwargs):
+    return build_one(*args, **kwargs).run()
 
 
 @given(
@@ -238,6 +263,49 @@ def test_engines_agree_under_churn(
     assert validate_execution(
         reference, graph, rule, start_mode, churn=churn
     ) == []
+
+
+@given(
+    graph_and_churn=churned_graphs(),
+    churned=st.booleans(),
+    algorithm=st.sampled_from(SCHEDULE_ALGORITHMS),
+    adversary_kind=st.sampled_from(ADVERSARIES),
+    rule=st.sampled_from(list(CollisionRule)),
+    start_mode=st.sampled_from(list(StartMode)),
+    seed=st.integers(min_value=0, max_value=2**16),
+    max_rounds=st.integers(min_value=0, max_value=40),
+)
+def test_schedule_hook_is_sound(
+    graph_and_churn, churned, algorithm, adversary_kind, rule, start_mode,
+    seed, max_rounds,
+):
+    """Every schedule algorithm's processes share one schedule, and on
+    the reference engine (which asks every active process every round)
+    no process outside ``uids_at(r)`` ever transmits."""
+    graph, churn = graph_and_churn
+    engine = build_one(
+        "reference", graph, algorithm, adversary_kind, rule, start_mode,
+        seed, max_rounds, record=False, churn=churn if churned else None,
+    )
+    processes = list(engine.process_at.values())
+    schedule = processes[0].send_schedule()
+    assert schedule is not None
+    assert all(p.send_schedule() == schedule for p in processes)
+
+    violations = []
+    for process in processes:
+        decide = process.decide_send
+
+        def checked(ctx, process=process, decide=decide):
+            msg = decide(ctx)
+            rnd = ctx.round_number
+            if msg is not None and process.uid not in schedule.uids_at(rnd):
+                violations.append((rnd, process.uid))
+            return msg
+
+        process.decide_send = checked
+    engine.run()
+    assert violations == []
 
 
 @given(
