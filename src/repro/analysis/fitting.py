@@ -74,9 +74,8 @@ def fit_power_law(
         math.log(t) - log_exponent * math.log(math.log2(n))
         for n, t in zip(ns, ts)
     ]
-    # Closed-form ordinary least squares in log space (the degree-1
-    # polyfit this used to delegate to NumPy for); pure stdlib so the
-    # analysis layer honours the stdlib-only runtime contract.
+    # Closed-form ordinary least squares in log space; pure stdlib so
+    # the analysis layer honours the stdlib-only runtime contract.
     mean_x = math.fsum(x) / len(x)
     mean_y = math.fsum(y) / len(y)
     var_x = math.fsum((xi - mean_x) ** 2 for xi in x)

@@ -211,7 +211,7 @@ def cmd_sweep(args) -> int:
         # directory; create it up front so events_path resolves the
         # directory form even on a campaign's very first sweep.
         backend = _store_backend(args) or detect_backend(args.results)
-        if backend in ("sharded", "columnar"):
+        if backend == "sharded":
             os.makedirs(args.results, exist_ok=True)
         sink = JsonlTelemetry(events_path(args.results))
 
@@ -220,7 +220,6 @@ def cmd_sweep(args) -> int:
             specs,
             workers=args.workers,
             results_path=args.results,
-            batch=args.batch,
             store=_store_backend(args),
             flush_every=args.flush_every,
         )
@@ -235,10 +234,10 @@ def cmd_sweep(args) -> int:
                 merge_event_files(args.results)
         else:
             result = runner.run()
-    except (ValueError, ImportError) as exc:
+    except ValueError as exc:
         # Bad worker counts, unknown graph/adversary kinds, duplicate
-        # task keys, campaign fingerprint mismatches, a missing NumPy
-        # for --store columnar: user input problems, not crashes.
+        # task keys, campaign fingerprint or format mismatches: user
+        # input problems, not crashes.
         raise SystemExit(str(exc))
 
     _warn_health(result.health, args.results, "task")
@@ -332,7 +331,7 @@ def cmd_search(args) -> int:
             store=_store_backend(args),
             flush_every=args.flush_every,
         )
-    except (ValueError, ImportError) as exc:
+    except ValueError as exc:
         raise SystemExit(str(exc))
 
     _warn_health(result.health, args.results, "candidate")
@@ -387,7 +386,7 @@ def cmd_merge(args) -> int:
             args.results, parse=RawRecord, backend=_store_backend(args)
         )
         count = merge_store(source, args.out)
-    except (OSError, ValueError, ImportError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(str(exc))
     _warn_health(source.health, args.results, "record")
     print(
@@ -411,7 +410,7 @@ def cmd_report(args) -> int:
             backend=_store_backend(args),
         )
         report = CampaignReport.from_store(store)
-    except (OSError, ValueError, ImportError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(str(exc))
     _warn_health(store.health, args.results, "record")
     # Perf panel: present only when the campaign ran with --events (a
@@ -496,7 +495,7 @@ def cmd_profile(args) -> int:
             max_rounds=args.max_rounds,
         )
         report = profile_task(spec.tasks()[0])
-    except (ValueError, ImportError) as exc:
+    except ValueError as exc:
         raise SystemExit(str(exc))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -673,20 +672,20 @@ def _shared_flags() -> dict:
             help="start rule (lower-bound constructions use synchronous)",
         ),
         "results": dict(
-            help="result store: a JSON-lines file or a campaign "
-            "directory (sharded/columnar); sweep and search resume the "
-            "records already there by key rather than re-run them",
+            help="result store: a JSON-lines file or a sharded campaign "
+            "directory; sweep and search resume the records already "
+            "there by key rather than re-run them",
         ),
         "store": dict(
             choices=list(STORE_BACKENDS),
             help="result-store backend behind --results (auto: detect "
-            "from the path/manifest — a directory is a sharded "
-            "campaign, a file is JSON lines; see docs/STORAGE.md)",
+            "from the path — a directory is a sharded campaign, a "
+            "file is JSON lines; see docs/STORAGE.md)",
         ),
         "flush_every": dict(
             type=int,
             help="flush the result store every N records (default: the "
-            "backend's policy — jsonl 1, sharded 64, columnar 512)",
+            "backend's policy — jsonl 1, sharded 64)",
         ),
         "workers": dict(
             type=int, help="worker processes (default 1: in-process)"
@@ -772,13 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a schema-versioned events.jsonl telemetry stream "
         "beside --results (progress, worker heartbeats, engine "
         "counters; consumed by repro progress and repro report)",
-    )
-    sweep.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="group tasks by science cell so each worker builds the "
-        "cell's graph and compiled engine topology once and runs all "
-        "its seeds against them (--no-batch: per-task dispatch); "
-        "records are identical either way",
     )
     sweep.set_defaults(func=cmd_sweep)
 

@@ -153,7 +153,9 @@ CHURNS = Registry(
             {"crash_rate": float, "recover_rate": float, "rejoin": str},
         ),
         "window": Entry(
-            lambda n, rounds, seed, **kw: window_churn(n, **kw),
+            lambda n, rounds, seed, count, start, length, **kw: (
+                window_churn(n, count, start, length, **kw)
+            ),
             "count nodes down from round start for length rounds",
             {"count": int, "start": int, "length": int, "rejoin": str},
         ),

@@ -6,9 +6,9 @@ and returning picklable values, so a ``multiprocessing`` pool can run
 them anywhere.  :class:`SweepRunner` expands one or more
 :class:`~repro.experiments.spec.ExperimentSpec`\\ s, skips tasks whose
 records already sit in the results file (resume-by-key), and streams the
-remaining work through ``imap_unordered``.  By default pending tasks are
-grouped into one :class:`~repro.experiments.spec.CellBatch` per science
-cell (every axis except the seed), so each worker builds the cell's
+remaining work through ``imap_unordered``.  Pending tasks are grouped
+into one :class:`~repro.experiments.spec.CellBatch` per science cell
+(every axis except the seed), so each worker builds the cell's
 graph, derives its round cap and compiles its engine topology
 (:class:`~repro.sim.fast_engine.CompiledTopology`) once, then runs the
 cell's seeds in a tight loop — amortising setup that otherwise dominates
@@ -20,19 +20,18 @@ Invariants:
   key, and the final record list is key-sorted, so the same spec
   produces the identical
   :class:`~repro.experiments.results.SweepResult` records for any
-  worker count, chunking, engine choice, batching mode, or resume
-  history.
-* **Batching is pure scheduling** — batched and per-task execution emit
-  byte-identical records: the per-seed loop inside a batch runs exactly
-  the :func:`execute_task` pipeline, with only graph/cap/topology
-  construction hoisted (and only when the cell's graph kind is
-  seed-independent per
+  worker count, chunking, engine choice, or resume history.
+* **Batching is pure scheduling** — :func:`execute_batch` emits records
+  byte-identical to :func:`execute_task`'s: the per-seed loop inside a
+  batch runs exactly the :func:`execute_task` pipeline, with only
+  graph/cap/topology construction hoisted (and only when the cell's
+  graph kind is seed-independent per
   :func:`~repro.experiments.registry.graph_seed_dependent`; ``gnp``-like
   kinds rebuild per seed).  ``tests/test_batching.py`` asserts this.
 * **Durable resume** — with ``results_path`` set, each record is
   appended to the sweep's result store (:mod:`repro.store`: a single
-  JSON-lines file by default, a sharded or columnar campaign directory
-  on request) the moment its result reaches the parent process, so an
+  JSON-lines file by default, a sharded campaign directory on
+  request) the moment its result reaches the parent process, so an
   interrupted sweep leaves a valid prefix.  Durability cadence is the
   store's explicit ``flush_every`` policy (the default JSONL backend
   flushes every record, the historical behaviour).
@@ -323,14 +322,14 @@ class SweepRunner:
             which is also the fallback when only one dispatch unit is
             pending.
         results_path: Optional results location — a JSON-lines file
-            (default backend) or a campaign directory (sharded or
-            columnar backend).  Existing records are loaded and their
+            (default backend) or a campaign directory (sharded
+            backend).  Existing records are loaded and their
             tasks skipped; new records are appended as they finish, so
             interrupting and re-running resumes where the sweep
             stopped.
-        store: Result-store backend name (``"jsonl"``, ``"sharded"``,
-            ``"columnar"``); ``None``/``"auto"`` detects from the
-            path (see :func:`repro.store.detect_backend`).  A
+        store: Result-store backend name (``"jsonl"`` or
+            ``"sharded"``); ``None``/``"auto"`` detects from the path
+            (see :func:`repro.store.detect_backend`).  A
             pre-built :class:`~repro.store.base.ResultStore` instance
             is also accepted and used as-is (``results_path`` then
             being ignored for opening).
@@ -338,18 +337,6 @@ class SweepRunner:
             store; ``None`` keeps each backend's documented default
             (jsonl flushes every record, exactly the historical
             behaviour).
-        chunksize: Upper bound on dispatch units (tasks, or batches in
-            batched mode) per worker dispatch.  Default: derived so
-            each worker sees several chunks, balancing IPC overhead
-            against stragglers; always capped at the per-worker fair
-            share so a resumed sweep with few pending units spreads
-            across all workers instead of serialising into one chunk.
-        batch: Group pending tasks into one
-            :class:`~repro.experiments.spec.CellBatch` per science cell
-            (default), so workers amortise graph construction, round-cap
-            derivation and engine-topology compilation across the
-            cell's seeds.  ``False`` restores per-task dispatch; the
-            records are identical either way.
     """
 
     def __init__(
@@ -357,8 +344,6 @@ class SweepRunner:
         specs: Union[ExperimentSpec, Sequence[ExperimentSpec]],
         workers: int = 1,
         results_path: Optional[str] = None,
-        chunksize: Optional[int] = None,
-        batch: bool = True,
         store: Union[ResultStore, str, None] = None,
         flush_every: Optional[int] = None,
     ) -> None:
@@ -370,16 +355,12 @@ class SweepRunner:
             raise ValueError("need at least one spec")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         if flush_every is not None and flush_every < 1:
             raise ValueError(
                 f"flush_every must be >= 1, got {flush_every}"
             )
         self.workers = workers
         self.results_path = results_path
-        self.chunksize = chunksize
-        self.batch = batch
         self.store = store
         self.flush_every = flush_every
 
@@ -404,7 +385,7 @@ class SweepRunner:
         Written into manifest-carrying store backends so a campaign
         directory refuses records from a *different* spec instead of
         silently interleaving two campaigns.  Stable across worker
-        counts, batching modes and resume histories by construction.
+        counts and resume histories by construction.
         """
         if tasks is None:
             tasks = self.tasks()
@@ -508,19 +489,16 @@ class SweepRunner:
         )
 
     def _dispatch_chunksize(self, n_units: int) -> int:
-        """Dispatch units (tasks or batches) per pool chunk.
+        """Batches per pool chunk.
 
         Derived to give each worker several chunks — large enough to
-        amortise pickling, small enough to keep stragglers short.  Both
-        the derived value and an explicit ``chunksize`` are capped at
-        the per-worker fair share, so a resumed sweep with only a few
-        pending units (e.g. 9 pending on 2 workers) still spreads
-        across every worker instead of collapsing into one oversized
-        chunk and serialising.
+        amortise pickling, small enough to keep stragglers short — and
+        capped at the per-worker fair share, so a resumed sweep with
+        only a few pending batches (e.g. 9 pending on 2 workers) still
+        spreads across every worker instead of collapsing into one
+        oversized chunk and serialising.
         """
         fair_share = max(1, n_units // self.workers)
-        if self.chunksize is not None:
-            return min(self.chunksize, fair_share)
         return min(
             max(1, n_units // (self.workers * 8)), fair_share
         )
@@ -548,20 +526,14 @@ class SweepRunner:
     def _execute(self, pending: Sequence[RunTask]):
         """Yield one :class:`RunResult` per pending task.
 
-        Results stream back in completion order (batched mode keeps a
-        sub-batch's seeds contiguous); :meth:`run` re-establishes the
-        canonical key order, so scheduling never leaks into results.
+        Results stream back in completion order (a sub-batch's seeds
+        stay contiguous); :meth:`run` re-establishes the canonical key
+        order, so scheduling never leaks into results.
         """
-        if self.batch:
-            units: Sequence = self._plan_units(pending)
-            run_unit = execute_batch
-        else:
-            units = list(pending)
-            run_unit = execute_task
+        units = self._plan_units(pending)
         if self.workers == 1 or len(units) <= 1:
             for unit in units:
-                out = run_unit(unit)
-                yield from out if self.batch else (out,)
+                yield from execute_batch(unit)
             return
         chunksize = self._dispatch_chunksize(len(units))
         # Prefer fork so runtime register_graph/register_adversary
@@ -583,9 +555,9 @@ class SweepRunner:
             ),
         ) as pool:
             for out in pool.imap_unordered(
-                run_unit, units, chunksize=chunksize
+                execute_batch, units, chunksize=chunksize
             ):
-                yield from out if self.batch else (out,)
+                yield from out
 
 
 def run_sweep(
@@ -593,7 +565,6 @@ def run_sweep(
     workers: int = 1,
     results_path: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
-    batch: bool = True,
     store: Union[ResultStore, str, None] = None,
     flush_every: Optional[int] = None,
 ) -> SweepResult:
@@ -602,7 +573,6 @@ def run_sweep(
         specs,
         workers=workers,
         results_path=results_path,
-        batch=batch,
         store=store,
         flush_every=flush_every,
     ).run(progress=progress)

@@ -3,8 +3,9 @@
 Graphs, algorithms, adversaries, churn schedules and searchers are each
 one :class:`Registry`.  An :class:`Entry` holds a kind's factory, its
 one-line description, its declared spec params (name → ``int``,
-``float``, ``str`` or ``bool``; defaults stay in the factory signature)
-and, for graphs, whether the factory's output depends on the seed.
+``float``, ``str`` or ``bool``; defaults stay in the factory signature,
+and a declared param the signature gives no default is required) and,
+for graphs, whether the factory's output depends on the seed.
 :meth:`Registry.check` validates a kind and its params against the
 declaration and names the offending field, so bad spec input fails
 when the spec is built, not in a worker mid-sweep.  A kind registered
@@ -16,6 +17,7 @@ registry.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -148,14 +150,16 @@ class Registry:
 
         Errors start with the field path of the offender: ``kind_path``
         for an unknown kind, ``params_path.<name>`` for an undeclared or
-        mistyped param.
+        mistyped param, ``params_path`` for missing required ones.
         """
         try:
-            declared = self.entry(kind).params
+            entry = self.entry(kind)
         except ValueError as exc:
             raise ValueError(f"{kind_path}: {exc}") from None
+        declared = entry.params
         if declared is None:
             return
+        params = tuple(params)
         for name, value in params:
             path = f"{params_path}.{name}"
             if name not in declared:
@@ -168,3 +172,18 @@ class Registry:
                 raise ValueError(
                     f"{path}: expected {expected.__name__}, got {value!r}"
                 )
+        given = {name for name, _ in params}
+        missing = [
+            name
+            for name, param in inspect.signature(
+                entry.factory
+            ).parameters.items()
+            if name in declared
+            and name not in given
+            and param.default is inspect.Parameter.empty
+        ]
+        if missing:
+            raise ValueError(
+                f"{params_path}: {self.noun} {kind!r} needs params "
+                f"{sorted(missing)}"
+            )

@@ -49,7 +49,6 @@ from repro.search.persist import (
     SearchBudget,
     SearchResult,
     genome_fingerprint_validator,
-    load_candidates,
     search_fingerprint,
 )
 from repro.search.searchers import (
@@ -82,7 +81,6 @@ __all__ = [
     "StrategyGenome",
     "build_searcher",
     "genome_fingerprint_validator",
-    "load_candidates",
     "make_space",
     "search_fingerprint",
     "register_searcher",

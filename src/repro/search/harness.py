@@ -115,9 +115,8 @@ def run_search(
             :class:`~repro.adversaries.scripted.ReplayAdversary` on the
             reference engine (:attr:`SearchResult.replay_verified`).
         progress: Optional callback after each batch.
-        store: Result-store backend name (``"jsonl"``, ``"sharded"``,
-            ``"columnar"``); ``None``/``"auto"`` detects from the
-            path.
+        store: Result-store backend name (``"jsonl"`` or
+            ``"sharded"``); ``None``/``"auto"`` detects from the path.
         flush_every: Explicit store flush policy (``None``: backend
             default).
     """

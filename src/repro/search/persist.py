@@ -17,12 +17,6 @@ hook* :func:`genome_fingerprint_validator`: records whose persisted
 fingerprint are rejected at load time (counted on
 :class:`~repro.store.base.StoreHealth`), before the harness even sees
 them.
-
-This module once carried its own keyed-line loader/appender; those now
-live once in :mod:`repro.store.jsonl`, and the old names
-(:func:`load_candidates`, :data:`append_candidate`,
-:func:`open_for_append`) remain as thin shims so existing imports keep
-working.
 """
 
 from __future__ import annotations
@@ -33,22 +27,13 @@ from typing import Dict, List, Optional
 from repro.search.evaluate import CandidateScore, SearchSettings
 from repro.search.genome import StrategyGenome
 from repro.store.base import StoreHealth
-from repro.store.jsonl import (
-    append_jsonl_line,
-    open_for_append,
-    scan_jsonl,
-)
 
 __all__ = [
-    "CandidateMap",
     "CandidateRecord",
     "SearchBudget",
     "SearchResult",
-    "append_candidate",
     "candidate_key",
     "genome_fingerprint_validator",
-    "load_candidates",
-    "open_for_append",
     "search_fingerprint",
 ]
 
@@ -176,17 +161,6 @@ class CandidateRecord:
         )
 
 
-class CandidateMap(Dict[str, CandidateRecord]):
-    """``key → CandidateRecord`` map that also counts skipped lines."""
-
-    __slots__ = ("skipped",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        """Build the map; ``skipped`` starts at 0."""
-        super().__init__(*args, **kwargs)
-        self.skipped = 0
-
-
 def genome_fingerprint_validator(record: CandidateRecord) -> bool:
     """The search store's distrust check, as a store-level validator.
 
@@ -212,35 +186,6 @@ def search_fingerprint(
     from a different search instead of interleaving them.
     """
     return f"{settings.key}/{searcher}-r{seed}"
-
-
-def load_candidates(path: str) -> CandidateMap:
-    """Read a search results file into a key → record map.
-
-    Thin shim over :func:`repro.store.jsonl.scan_jsonl` (the single
-    keyed-line loader): unparsable lines are skipped and counted,
-    later duplicate keys win (a re-evaluated candidate supersedes its
-    stale predecessor), and internally inconsistent records are
-    rejected by :func:`genome_fingerprint_validator` — rejections are
-    folded into the map's ``skipped`` counter here, matching the
-    historical single-number report.
-    """
-    records = CandidateMap()
-    health = StoreHealth()
-    scan_jsonl(
-        path,
-        CandidateRecord.from_dict,
-        records,
-        health,
-        validator=genome_fingerprint_validator,
-    )
-    records.skipped += health.issues
-    return records
-
-
-#: One candidate per JSON line, flushed on write — the storage layer's
-#: appender works verbatim on any record with ``to_dict()``.
-append_candidate = append_jsonl_line
 
 
 @dataclass

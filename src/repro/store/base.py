@@ -142,8 +142,7 @@ class ResultStore(abc.ABC):
     """Abstract base of every campaign result backend.
 
     Concrete stores (:class:`~repro.store.jsonl.JsonlStore`,
-    :class:`~repro.store.sharded.ShardedStore`,
-    :class:`~repro.store.columnar.ColumnarStore`) share the record
+    :class:`~repro.store.sharded.ShardedStore`) share the record
     parsing, validation and health accounting here and differ only in
     layout.  Stores are context managers; :meth:`close` flushes.
     """

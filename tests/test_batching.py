@@ -1,10 +1,10 @@
 """Batched sweep execution: equivalence, resume granularity, healing.
 
 The batching contract: grouping tasks into per-cell batches is *pure
-scheduling*.  Batched and per-task sweeps must emit byte-identical
-JSONL records for any worker count, a batch interrupted mid-cell must
-resume with only its missing seeds, and torn-line healing must keep
-working under batch appends.
+scheduling*.  A batched sweep must emit records byte-identical to
+running :func:`execute_task` on every task, for any worker count; a
+batch interrupted mid-cell must resume with only its missing seeds;
+and torn-line healing must keep working under batch appends.
 """
 
 import json
@@ -43,6 +43,13 @@ def grid_spec(**overrides) -> ExperimentSpec:
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def per_task(spec: ExperimentSpec) -> list:
+    """The spec's records run one task at a time, key-sorted."""
+    return sorted(
+        (execute_task(t) for t in spec.tasks()), key=lambda r: r.key
+    )
 
 
 def sorted_lines(path) -> list:
@@ -124,9 +131,8 @@ class TestPlanning:
         # Serial runs keep one batch per cell for maximal amortisation.
         assert len(SweepRunner(spec)._plan_units(spec.tasks())) == 1
         # And the split path still produces the canonical records.
-        assert (
-            SweepRunner(spec, workers=2).run().records
-            == SweepRunner(spec, batch=False).run().records
+        assert SweepRunner(spec, workers=2).run().records == per_task(
+            spec
         )
 
     def test_mixed_cell_batch_rejected(self):
@@ -144,25 +150,21 @@ class TestBatchExecution:
                 execute_task(t) for t in batch.tasks
             ]
 
-    def test_batched_vs_unbatched_identical_jsonl(self, tmp_path):
+    def test_batched_vs_per_task_identical_jsonl(self, tmp_path):
         spec = grid_spec()
         files = {}
-        for label, workers, batch in (
-            ("batched-serial", 1, True),
-            ("batched-pool", 2, True),
-            ("pertask-pool", 2, False),
-        ):
+        for label, workers in (("serial", 1), ("pool", 2)):
             path = tmp_path / f"{label}.jsonl"
             result = SweepRunner(
-                spec,
-                workers=workers,
-                results_path=str(path),
-                batch=batch,
+                spec, workers=workers, results_path=str(path)
             ).run()
             assert result.executed == spec.size
             files[label] = sorted_lines(path)
-        assert files["batched-serial"] == files["batched-pool"]
-        assert files["batched-serial"] == files["pertask-pool"]
+        per_task_lines = [
+            json.dumps(r.to_dict(), sort_keys=True) for r in per_task(spec)
+        ]
+        assert files["serial"] == files["pool"]
+        assert files["serial"] == per_task_lines
 
     def test_seed_dependent_graph_rebuilt_per_seed(self):
         """gnp cells must not share one graph across their seeds."""
@@ -173,9 +175,8 @@ class TestBatchExecution:
             adversaries=["none"],
             seeds=range(4),
         )
-        batched = SweepRunner(spec, batch=True).run()
-        unbatched = SweepRunner(spec, batch=False).run()
-        assert batched.records == unbatched.records
+        batched = SweepRunner(spec).run()
+        assert batched.records == per_task(spec)
         # Different seeds genuinely produce different executions, so a
         # wrongly shared graph could not have survived the comparison.
         assert len({r.completion_round for r in batched.records}) > 1
@@ -197,7 +198,7 @@ class TestBatchExecution:
 
         fast = SweepRunner(spec_on("fast")).run().records
         assert all(r.engine == "fast" for r in fast)
-        assert fast == SweepRunner(spec_on("fast"), batch=False).run().records
+        assert fast == per_task(spec_on("fast"))
         ref = SweepRunner(spec_on("reference")).run().records
         assert [
             (r.completed, r.completion_round, r.total_transmissions)
@@ -212,9 +213,7 @@ class TestBatchExecution:
     ):
         spec = grid_spec()
         path = tmp_path / "results.jsonl"
-        reference = SweepRunner(
-            spec, results_path=str(path), batch=True
-        ).run()
+        reference = SweepRunner(spec, results_path=str(path)).run()
 
         # Simulate a kill mid-cell: drop one full cell plus one seed of
         # another cell (batch flushes are per-record, so a partial cell
@@ -229,9 +228,7 @@ class TestBatchExecution:
         ]
         path.write_text("\n".join(kept) + "\n", encoding="utf-8")
 
-        resumed = SweepRunner(
-            spec, results_path=str(path), batch=True
-        ).run()
+        resumed = SweepRunner(spec, results_path=str(path)).run()
         assert resumed.executed == len(lost)
         assert resumed.resumed == spec.size - len(lost)
         assert resumed.records == reference.records
@@ -241,9 +238,7 @@ class TestBatchExecution:
     def test_torn_line_healed_under_batch_appends(self, tmp_path):
         spec = grid_spec()
         path = tmp_path / "results.jsonl"
-        reference = SweepRunner(
-            spec, results_path=str(path), batch=True
-        ).run()
+        reference = SweepRunner(spec, results_path=str(path)).run()
 
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text(
@@ -251,9 +246,7 @@ class TestBatchExecution:
             encoding="utf-8",
         )
 
-        resumed = SweepRunner(
-            spec, results_path=str(path), batch=True
-        ).run()
+        resumed = SweepRunner(spec, results_path=str(path)).run()
         assert resumed.executed == 1
         assert resumed.skipped_lines == 1  # the torn line was counted
         assert resumed.records == reference.records
@@ -336,16 +329,6 @@ class TestChunkCap:
         assert runner._dispatch_chunksize(9) <= 4
         assert runner._dispatch_chunksize(1) == 1
 
-    def test_explicit_chunksize_capped_at_fair_share(self):
-        runner = SweepRunner(grid_spec(), workers=2, chunksize=100)
-        assert runner._dispatch_chunksize(9) == 4
-        # With plenty pending the explicit value is honoured.
-        assert runner._dispatch_chunksize(1000) == 100
-
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            SweepRunner(grid_spec(), chunksize=0)
-
 
 class TestObserverBatching:
     @pytest.mark.parametrize("engine", ["fast"])
@@ -360,7 +343,4 @@ class TestObserverBatching:
             seeds=range(3),
             max_rounds=64,
         )
-        assert (
-            SweepRunner(spec, batch=True).run().records
-            == SweepRunner(spec, batch=False).run().records
-        )
+        assert SweepRunner(spec).run().records == per_task(spec)

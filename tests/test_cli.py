@@ -1,10 +1,31 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*argv):
+    """Run ``python -m repro`` in a fresh interpreter (exit code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return done.returncode, done.stderr
 
 
 class TestRun:
@@ -162,34 +183,6 @@ class TestSweep:
         second = capsys.readouterr().out
         assert "0 run, 3 resumed" in second
 
-    def test_sweep_no_batch_resumes_batched_results(
-        self, capsys, tmp_path
-    ):
-        """--batch and --no-batch share one results file seamlessly."""
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(
-            json.dumps(
-                {
-                    "name": "cli-batch",
-                    "algorithms": ["round_robin"],
-                    "graphs": [{"kind": "line", "n": 6}],
-                    "seeds": [0, 1, 2],
-                }
-            )
-        )
-        results = tmp_path / "results.jsonl"
-        assert main(
-            ["sweep", "--spec", str(spec_file), "--batch",
-             "--results", str(results)]
-        ) == 0
-        assert "3 run, 0 resumed" in capsys.readouterr().out
-
-        assert main(
-            ["sweep", "--spec", str(spec_file), "--no-batch",
-             "--results", str(results)]
-        ) == 0
-        assert "0 run, 3 resumed" in capsys.readouterr().out
-
     def test_sweep_warns_about_unparsable_result_lines(
         self, capsys, tmp_path
     ):
@@ -211,6 +204,26 @@ class TestSweep:
         ) == 0
         err = capsys.readouterr().err
         assert "2 unparsable line(s)" in err
+
+    def test_sweep_spec_churn_missing_params_rejected(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(
+            json.dumps(
+                {
+                    "name": "cli-window",
+                    "algorithms": ["round_robin"],
+                    "graphs": [{"kind": "line", "n": 6}],
+                    "churns": [["window", {"count": 1}]],
+                    "seeds": [0],
+                }
+            )
+        )
+        with pytest.raises(
+            SystemExit,
+            match=r"churns\[0\]\.params: .* needs params "
+            r"\['length', 'start'\]",
+        ):
+            main(["sweep", "--spec", str(spec_file)])
 
     def test_sweep_missing_spec_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot load spec"):
@@ -557,6 +570,42 @@ class TestStoreCommands:
                  "--store", "nope"]
             )
 
+    @pytest.mark.parametrize("command", ["sweep", "report", "merge"])
+    def test_columnar_campaign_fails_cleanly(self, command, tmp_path):
+        """A campaign of the deleted columnar backend is refused at open.
+
+        The error names the format, the exit is nonzero with no
+        traceback, and nothing is written into the directory.
+        """
+        camp = tmp_path / "camp"
+        camp.mkdir()
+        (camp / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "format": "repro-store/columnar-v1",
+                    "backend": "columnar",
+                    "fingerprint": None,
+                    "records": 3,
+                    "blocks": ["block-00000.npz"],
+                }
+            )
+        )
+        (camp / "block-00000.npz").write_bytes(b"PK\x03\x04")
+        before = sorted(os.listdir(camp))
+        argv = {
+            "sweep": ["sweep", "--spec", self.spec_file(tmp_path),
+                      "--results", str(camp), "--events"],
+            "report": ["report", "--results", str(camp)],
+            "merge": ["merge", "--results", str(camp),
+                      "--out", str(tmp_path / "merged.jsonl")],
+        }[command]
+        code, err = run_cli(*argv)
+        assert code != 0
+        assert "repro-store/columnar-v1" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(camp)) == before
+        assert not (tmp_path / "merged.jsonl").exists()
+
 
 class TestEngineChoice:
     """``reference`` and ``fast`` are the CLI's engines."""
@@ -623,6 +672,30 @@ class TestEngineChoice:
             )
         assert exc.value.code == 2
         assert "--evaluator" in capsys.readouterr().err
+
+
+class TestProfile:
+    def test_churn_missing_params_is_a_one_line_error(self):
+        """``profile`` has no churn-param flags; a kind needing them is
+        refused by name instead of crashing in the churn factory."""
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "profile", "--graph", "line", "--n", "16",
+                    "--algorithm", "round_robin", "--churn", "window",
+                ]
+            )
+        message = str(info.value.code)
+        assert "\n" not in message
+        assert "['count', 'length', 'start']" in message
+
+    def test_churn_with_defaults_runs(self, capsys):
+        assert main(
+            [
+                "profile", "--graph", "line", "--n", "8",
+                "--algorithm", "round_robin", "--churn", "rate",
+            ]
+        ) == 0
 
 
 class TestParser:

@@ -3,7 +3,7 @@
 ``fixtures/cli_surface.json`` holds the surface of ``build_parser()``
 as it stood before the shared cell flags were folded into one
 definition per flag.  The live parser must match it flag for flag,
-apart from the two deliberate removals listed in :data:`REMOVED` and
+apart from the deliberate changes listed in :data:`REMOVED` and
 :data:`CHANGED`.  Help text is free to change; names, destinations,
 types, defaults, choices and required-ness are not.
 
@@ -22,15 +22,25 @@ from repro.cli import build_parser
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "cli_surface.json"
 
 #: Flags deleted on purpose: ``sweep --seed`` was never read (inline
-#: sweeps take ``--seeds``).
-REMOVED = {("sweep", "--seed")}
+#: sweeps take ``--seeds``); ``sweep --batch/--no-batch`` chose a
+#: per-task dispatch path that wrote the same records as the batched
+#: one and was never faster.
+REMOVED = {("sweep", "--seed"), ("sweep", "--no-batch")}
+
+#: The ``--store`` vocabulary after the columnar backend's removal.
+_STORE = {"choices": ["auto", "jsonl", "sharded"]}
 
 #: Flags whose surface changed on purpose: ``search --engine`` lost its
-#: ``auto`` spelling, which always meant the fast engine.
+#: ``auto`` spelling, which always meant the fast engine; every
+#: ``--store`` lost its ``columnar`` choice.
 CHANGED = {
     ("search", "--engine"): {
         "choices": ["reference", "fast"],
         "default": "fast",
+    },
+    **{
+        (sub, "--store"): _STORE
+        for sub in ("sweep", "search", "merge", "report")
     },
 }
 

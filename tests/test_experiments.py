@@ -274,7 +274,7 @@ class TestSweepRunner:
             seeds=range(3),
         )
         serial = SweepRunner(spec, workers=1).run()
-        parallel = SweepRunner(spec, workers=2, chunksize=2).run()
+        parallel = SweepRunner(spec, workers=2).run()
         assert serial.records == parallel.records
 
     def test_resume_skips_finished_tasks(self, tmp_path):

@@ -51,6 +51,14 @@ PROBES = {
         _base(churns=[{"kind": "window", "params": {"cnt": 2}}]),
         "churns[0].params.cnt: churn kind 'window' takes no param",
     ),
+    "window-no-length": (
+        _base(
+            churns=[
+                {"kind": "window", "params": {"count": 1, "start": 2}}
+            ]
+        ),
+        "churns[0].params: churn kind 'window' needs params ['length']",
+    ),
     "unknown-algorithm": (
         _base(algorithms=["round_robin", "nope"]),
         "algorithms[1].name: unknown algorithm 'nope'",
@@ -262,6 +270,16 @@ class TestRegistry:
             toy.check("a", [("y", 1)], "k", "p")
         with pytest.raises(ValueError, match="k: unknown toy kind"):
             toy.check("zz", [], "k", "p")
+
+    def test_check_requires_declared_params_without_default(self):
+        toy = Registry(
+            "toy", {"r": Entry(lambda seed, x, y=0: x, "", {"x": int})}
+        )
+        toy.check("r", [("x", 1)], "k", "p")
+        with pytest.raises(
+            ValueError, match=r"^p: toy 'r' needs params \['x'\]$"
+        ):
+            toy.check("r", [], "k", "p")
 
     def test_undeclared_kinds_pass_params_through(self):
         toy = _toy()

@@ -1,11 +1,10 @@
 """The runtime stays NumPy- and SciPy-free.
 
-No runtime path imports NumPy or SciPy: the engines, sweeps on the
-JSON-lines and sharded stores, adversary search and ``repro report``
-are pure Python.  The one, explicitly gated, user is
-:class:`repro.store.ColumnarStore`.  A fresh interpreter runs each of
-those paths and then checks ``sys.modules``, so an import anywhere in
-the chain — including one deferred into a function body — fails here.
+Nothing in ``repro`` imports NumPy or SciPy.  A fresh interpreter
+imports every ``repro.*`` module, runs the engines, sweeps on the
+JSON-lines and sharded stores, adversary search and ``repro report``,
+and then checks ``sys.modules``, so an import anywhere — at module
+level or deferred into a function body on those paths — fails here.
 """
 
 import os
@@ -18,14 +17,22 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = textwrap.dedent(
     """
+    import importlib
     import os
+    import pkgutil
     import sys
 
+    import repro
     from repro.cli import main
     from repro.experiments import ExperimentSpec, SweepRunner
     from repro.search import SearchBudget, SearchSettings, run_search
 
     work = sys.argv[1]
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        # ``repro.__main__`` runs the CLI on import; it imports only
+        # repro.cli.
+        if module.name != "repro.__main__":
+            importlib.import_module(module.name)
     spec = ExperimentSpec(
         name="imports",
         algorithms=["round_robin", ("harmonic", {"T": 2})],

@@ -16,7 +16,6 @@ from repro.search import (
     SearchBudget,
     SearchSettings,
     StrategyGenome,
-    load_candidates,
     make_space,
     register_searcher,
     run_search,
@@ -25,10 +24,17 @@ from repro.search import (
 from repro.search.persist import candidate_key
 from repro.sim.engine import EngineConfig, StartMode, build_engine
 from repro.sim.collision import CollisionRule
+from repro.store import open_store
 
 CELL = SearchSettings(
     algorithm="round_robin", graph_kind="clique-bridge", n=10
 )
+
+
+def load_candidates(path):
+    """A search results file's key → record map and its load health."""
+    with open_store(path, CandidateRecord.from_dict, backend="jsonl") as store:
+        return store.claim_keys(), store.health
 
 
 class TestSearchSettings:
@@ -265,7 +271,7 @@ class TestRunSearch:
             CELL, searcher="random", budget=self.budget(4), seed=5,
             results_path=path,
         )
-        records = load_candidates(path)
+        records, _ = load_candidates(path)
         key = candidate_key(CELL, "random", 5, 0)
         forged = CandidateRecord(
             key=key,
@@ -300,7 +306,7 @@ class TestRunSearch:
             CELL, searcher="random", budget=self.budget(4), seed=5,
             results_path=path,
         )
-        records = load_candidates(path)
+        records, _ = load_candidates(path)
         key0 = candidate_key(CELL, "random", 5, 0)
         key1 = candidate_key(CELL, "random", 5, 1)
         # Internally consistent (fingerprint matches its own genome) so
@@ -337,7 +343,7 @@ class TestRunSearch:
             results_path=str(path),
         )
         assert result.skipped_lines == 1
-        assert load_candidates(str(path)).skipped == 1
+        assert load_candidates(str(path))[1].skipped_lines == 1
 
     def test_unknown_searcher_rejected(self):
         with pytest.raises(ValueError, match="unknown searcher"):

@@ -84,12 +84,10 @@ def make_record(i: int, completion: int = None, sends: int = 0) -> RunResult:
     )
 
 
-BACKENDS = ["jsonl", "sharded", "columnar"]
+BACKENDS = ["jsonl", "sharded"]
 
 
 def open_backend(backend, tmp_path, name="store", **kwargs):
-    if backend == "columnar":
-        pytest.importorskip("numpy")
     path = str(tmp_path / (name if backend != "jsonl" else name + ".jsonl"))
     return open_store(path, RunResult.from_dict, backend=backend, **kwargs)
 
@@ -178,8 +176,6 @@ class TestSweepDifferential:
         claims = {}
         summaries = {}
         for backend in BACKENDS:
-            if backend == "columnar":
-                pytest.importorskip("numpy")
             path = str(
                 tmp_path / ("camp-" + backend)
                 if backend != "jsonl"
@@ -198,12 +194,9 @@ class TestSweepDifferential:
             }
             store.close()
         assert summaries["jsonl"] == summaries["sharded"]
-        assert summaries["jsonl"] == summaries["columnar"]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_interrupt_resumes_only_missing(self, backend, tmp_path):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
         spec = tiny_spec(seeds=range(3))
         path = str(
             tmp_path / "camp.jsonl"
