@@ -9,10 +9,11 @@ layer :mod:`repro.store`:
 2. Durability: a sweep interrupted mid-run — simulated by truncating
    the JSON-lines results file to a prefix plus a torn final line —
    resumes by key and re-executes only the missing tasks.
-3. Batching: grouping a seeds-heavy grid into per-cell batches — one
+3. Batching: grouping a seeds-heavy grid into per-graph batches — one
    graph build, round-cap derivation and engine-topology compilation
-   per cell instead of per seed — beats running ``execute_task`` on
-   each task by ≥ 1.25x in one process, with identical records.
+   per dispatch unit instead of per task — beats running
+   ``execute_task`` on each task by ≥ 1.25x in one process, with
+   identical records.
 4. Store append throughput: the sharded campaign store's batched flush
    policy (``flush_every=64``) sustains ≥ 1.2x the append rate of the
    single-file JSONL store's historical flush-per-record policy.
@@ -158,7 +159,7 @@ BATCH_GRID = ExperimentSpec(
 
 
 def test_sweep_batching_speedup(benchmark, table_out):
-    """Per-cell batching amortises setup: ≥ 1.25x over per-task."""
+    """Per-graph batching amortises setup: ≥ 1.25x over per-task."""
 
     def run_both_modes():
         timings = {}
@@ -192,7 +193,7 @@ def test_sweep_batching_speedup(benchmark, table_out):
             "(clique-bridge n=129, fast engine, one process)",
         )
     )
-    # The acceptance claim: shared per-cell setup pays for itself.
+    # The acceptance claim: shared per-graph setup pays for itself.
     assert speedup >= 1.25
     # And batching never changes the science: identical records.
     assert records["batched"] == records["per-task"]

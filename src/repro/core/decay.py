@@ -48,13 +48,19 @@ class DecayProcess(Process):
     def __init__(self, uid: int, n: Optional[int] = None) -> None:
         super().__init__(uid)
         self._n = n
+        # Fixed for the process's lifetime; set on the first decide.
+        self._length: Optional[int] = None
         self._phase_id: Optional[int] = None
         self._transmitting = False
 
     def decide_send(self, ctx: ProcessContext) -> Optional[Message]:
         if not self.has_message:
             return None
-        length = phase_length(self._n if self._n is not None else ctx.n)
+        length = self._length
+        if length is None:
+            length = self._length = phase_length(
+                self._n if self._n is not None else ctx.n
+            )
         phase_id = (ctx.round_number - 1) // length
         slot = (ctx.round_number - 1) % length
         t_v = self.first_message_round

@@ -44,9 +44,9 @@ from repro.experiments.runner import (
 from repro.experiments.spec import (
     AdversarySpec,
     AlgorithmSpec,
-    CellBatch,
     ChurnSpec,
     ExperimentSpec,
+    GraphBatch,
     GraphSpec,
     RunTask,
     load_specs,
@@ -58,10 +58,10 @@ __all__ = [
     "AdversarySpec",
     "AlgorithmSpec",
     "CHURNS",
-    "CellBatch",
     "ChurnSpec",
     "ExperimentSpec",
     "GRAPHS",
+    "GraphBatch",
     "GraphSpec",
     "RunResult",
     "RunTask",

@@ -1,18 +1,20 @@
 """The sweep executor: fan a task grid out over worker processes.
 
 :func:`execute_task` is the per-task unit of work and
-:func:`execute_batch` the per-cell unit — module-level functions taking
+:func:`execute_batch` the per-graph unit — module-level functions taking
 and returning picklable values, so a ``multiprocessing`` pool can run
 them anywhere.  :class:`SweepRunner` expands one or more
 :class:`~repro.experiments.spec.ExperimentSpec`\\ s, skips tasks whose
 records already sit in the results file (resume-by-key), and streams the
 remaining work through ``imap_unordered``.  Pending tasks are grouped
-into one :class:`~repro.experiments.spec.CellBatch` per science cell
-(every axis except the seed), so each worker builds the cell's
-graph, derives its round cap and compiles its engine topology
-(:class:`~repro.sim.fast_engine.CompiledTopology`) once, then runs the
-cell's seeds in a tight loop — amortising setup that otherwise dominates
-seeds-heavy cells (``benchmarks/bench_sweep.py`` measures the win).
+into :class:`~repro.experiments.spec.GraphBatch` units by graph
+instance (:attr:`~repro.experiments.spec.RunTask.graph_key`), so each
+worker builds a graph and compiles its engine topology
+(:class:`~repro.sim.fast_engine.CompiledTopology`) once, then runs every
+task on that graph in a tight loop — every seed of a seed-independent
+kind, and every algorithm, adversary, rule and churn of one
+``gnp``/``gray-zone`` draw (``benchmarks/bench_sweep.py`` measures the
+win).
 
 Invariants:
 
@@ -22,12 +24,13 @@ Invariants:
   :class:`~repro.experiments.results.SweepResult` records for any
   worker count, chunking, engine choice, or resume history.
 * **Batching is pure scheduling** — :func:`execute_batch` emits records
-  byte-identical to :func:`execute_task`'s: the per-seed loop inside a
+  byte-identical to :func:`execute_task`'s: the task loop inside a
   batch runs exactly the :func:`execute_task` pipeline, with only
-  graph/cap/topology construction hoisted (and only when the cell's
-  graph kind is seed-independent per
-  :func:`~repro.experiments.registry.graph_seed_dependent`; ``gnp``-like
-  kinds rebuild per seed).  ``tests/test_batching.py`` asserts this.
+  graph/cap/topology construction hoisted.  A batch holds only tasks
+  whose graph builds are equal by construction (one graph key; the
+  seed is part of it exactly for kinds that
+  :func:`~repro.experiments.registry.graph_seed_dependent` names).
+  ``tests/test_batching.py`` asserts this.
 * **Durable resume** — with ``results_path`` set, each record is
   appended to the sweep's result store (:mod:`repro.store`: a single
   JSON-lines file by default, a sharded campaign directory on
@@ -37,11 +40,13 @@ Invariants:
   flushes every record, the historical behaviour).
   *Resume* granularity stays per task under batching: pending tasks
   are filtered by key before batches are planned, so whatever a kill
-  left on disk, re-running executes exactly the missing seeds.
+  left on disk, re-running executes exactly the missing tasks.
   *Durability* granularity is the dispatch unit — a batch's records
   reach the parent together when the batch finishes, so a hard kill
   forfeits (and the resume re-runs) the in-flight batches' completed
-  seeds, bounded by the batch-splitting cap in ``_plan_units``.  The
+  tasks.  No batch holds more tasks than the largest pending science
+  cell (:func:`~repro.experiments.spec.plan_batches`), and with a pool
+  ``_plan_units`` splits further to a fair share per worker.  The
   storage layer (:mod:`repro.store`) heals a torn final line — the
   signature of a hard kill mid-write — by skipping (and counting)
   what does not parse on load and starting the next append on a
@@ -74,12 +79,11 @@ from repro.experiments.registry import (
     build_adversary,
     build_churn,
     build_graph,
-    graph_seed_dependent,
 )
 from repro.experiments.results import RunResult, SweepResult
 from repro.experiments.spec import (
-    CellBatch,
     ExperimentSpec,
+    GraphBatch,
     RunTask,
     plan_batches,
 )
@@ -187,9 +191,10 @@ def _execute_on(
 
     The shared tail of :func:`execute_task` and :func:`execute_batch`:
     everything downstream of graph construction.  ``topology`` and
-    ``default_cap`` (the cell's derived round limit, used when the task
-    carries no explicit ``max_rounds``) are per-cell reusables the
-    batched path hands in; both default to per-task derivation.
+    ``default_cap`` (the algorithm's derived round limit on ``graph``,
+    used when the task carries no explicit ``max_rounds``) are per-graph
+    reusables the batched path hands in; both default to per-task
+    derivation.
     """
     adversary = build_adversary(
         task.adversary_kind,
@@ -276,38 +281,37 @@ def execute_task(task: RunTask) -> RunResult:
     return result
 
 
-def execute_batch(batch: CellBatch) -> List[RunResult]:
-    """Run one science cell's pending seeds with shared setup.
+def execute_batch(batch: GraphBatch) -> List[RunResult]:
+    """Run the tasks of one graph instance with shared setup.
 
-    When the cell's graph kind is seed-independent
-    (:func:`~repro.experiments.registry.graph_seed_dependent`), the
-    graph is built, the round cap derived and the engine topology
-    compiled exactly once for the whole batch; seed-dependent kinds
-    (``gnp``, ``gray-zone``) rebuild all three per seed.  Each seed then
-    runs through the unchanged :func:`execute_task` pipeline, so the
-    returned records are byte-identical to per-task execution.
+    The graph is built and its engine topology compiled once for the
+    whole batch, and each algorithm's round cap is derived once for the
+    tasks without an explicit ``max_rounds``.  Each task then runs
+    through the unchanged :func:`execute_task` pipeline in batch order,
+    so the returned records are byte-identical to per-task execution.
     """
     telemetry = current()
-    share = not graph_seed_dependent(batch.tasks[0].graph_kind)
-    graph: Optional[DualGraph] = None
-    topology: Optional[CompiledTopology] = None
-    default_cap: Optional[int] = None
+    first = batch.tasks[0]
+    with telemetry.span("graph_build"):
+        graph = build_graph(
+            first.graph_kind,
+            first.n,
+            seed=first.seed,
+            **dict(first.graph_params),
+        )
+    with telemetry.span("topology_compile"):
+        topology = compile_topology(graph)
+    caps: Dict[str, int] = {}
     results: List[RunResult] = []
     for task in batch.tasks:
-        if graph is None or not share:
-            with telemetry.span("graph_build"):
-                graph = build_graph(
-                    task.graph_kind,
-                    task.n,
-                    seed=task.seed,
-                    **dict(task.graph_params),
+        cap = None
+        if task.max_rounds is None:
+            cap = caps.get(task.algorithm)
+            if cap is None:
+                cap = caps[task.algorithm] = suggested_round_limit(
+                    task.algorithm, graph
                 )
-            with telemetry.span("topology_compile"):
-                topology = compile_topology(graph)
-            default_cap = None
-        if task.max_rounds is None and default_cap is None:
-            default_cap = suggested_round_limit(task.algorithm, graph)
-        results.append(_execute_on(task, graph, topology, default_cap))
+        results.append(_execute_on(task, graph, topology, cap))
     _heartbeat(telemetry, len(results))
     return results
 
@@ -503,21 +507,22 @@ class SweepRunner:
             max(1, n_units // (self.workers * 8)), fair_share
         )
 
-    def _plan_units(self, pending: Sequence[RunTask]) -> List[CellBatch]:
+    def _plan_units(self, pending: Sequence[RunTask]) -> List[GraphBatch]:
         """Plan the batched dispatch units for the pending tasks.
 
-        One batch per science cell, except that with a pool in play
-        oversized cells are split so the sweep always yields at least
-        ~2 dispatch units per worker: a single-cell hundred-seed sweep
-        must occupy every worker, not serialise into one batch.  Each
-        sub-batch re-runs the cell setup once, so amortisation is
-        preserved within sub-batches.
+        The graph-instance batches of
+        :func:`~repro.experiments.spec.plan_batches`, except that with a
+        pool in play oversized batches are split so the sweep always
+        yields at least ~2 dispatch units per worker: a single-cell
+        hundred-seed sweep must occupy every worker, not serialise into
+        one batch.  Each sub-batch builds its graph once, so
+        amortisation is preserved within sub-batches.
         """
         batches = plan_batches(pending)
         if self.workers <= 1 or not pending:
             return batches
         # ceil-divide: the largest batch size that still yields at
-        # least workers * 2 units when cells alone are too few.
+        # least workers * 2 units when batches alone are too few.
         max_size = -(-len(pending) // (self.workers * 2))
         return [
             sub for batch in batches for sub in batch.split(max_size)
@@ -526,7 +531,7 @@ class SweepRunner:
     def _execute(self, pending: Sequence[RunTask]):
         """Yield one :class:`RunResult` per pending task.
 
-        Results stream back in completion order (a sub-batch's seeds
+        Results stream back in completion order (a sub-batch's tasks
         stay contiguous); :meth:`run` re-establishes the canonical key
         order, so scheduling never leaks into results.
         """

@@ -27,11 +27,14 @@ Invariants the rest of the subsystem builds on:
   cell produces the identical trace under either engine, a property
   ``tests/test_fast_engine_equivalence.py`` asserts.
 
-* **Cell grouping** — :attr:`RunTask.cell_key` names every axis
-  *except* the seed.  :func:`plan_batches` groups an ordered task list
-  into one :class:`CellBatch` per cell so the runner's batched path can
-  build each cell's graph and compiled engine topology once and run
-  all of its seeds against them; batching is pure scheduling and never
+* **Graph grouping** — :attr:`RunTask.graph_key` names the graph
+  instance a task runs on: every input of
+  :func:`~repro.experiments.registry.build_graph`, the seed only for
+  seed-dependent kinds.  :func:`plan_batches` groups an ordered task
+  list into :class:`GraphBatch` units by that key, so the runner builds
+  each graph and its compiled engine topology once and runs every task
+  on it — across algorithms, adversaries, rules and churn, not just
+  across one cell's seeds.  Batching is pure scheduling and never
   changes keys, seeds or records.
 
 Specs serialise to/from JSON (``to_dict`` / ``from_dict`` /
@@ -48,7 +51,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.runner import ALGORITHMS
-from repro.experiments.registry import ADVERSARIES, CHURNS, GRAPHS
+from repro.experiments.registry import (
+    ADVERSARIES,
+    CHURNS,
+    GRAPHS,
+    graph_seed_dependent,
+)
 from repro.sim.collision import CollisionRule
 from repro.sim.engine import ENGINE_NAMES, StartMode
 
@@ -224,18 +232,29 @@ class RunTask:
     def cell_key(self) -> str:
         """The task's *science cell*: every key input except the seed.
 
-        Tasks sharing a cell key differ only in their sweep seed, so a
-        worker can build the cell's graph, round cap and compiled
-        engine topology once and run all of the cell's seeds against
-        them (:func:`plan_batches` /
-        :func:`repro.experiments.runner.execute_batch`).  This is a
-        grouping handle only — persistence and resume stay keyed by
-        the per-seed :attr:`key`.
+        Tasks sharing a cell key differ only in their sweep seed; the
+        largest pending cell bounds the size of a dispatch unit
+        (:func:`plan_batches`).  This is a grouping handle only —
+        persistence and resume stay keyed by the per-seed :attr:`key`.
         """
         parts = self._key_parts(with_seed=False)
         if self.engine != "reference":
             parts.append(f"eng-{self.engine}")
         return "/".join(parts)
+
+    @property
+    def graph_key(self) -> Tuple[Any, ...]:
+        """The graph instance the task runs on.
+
+        ``build_graph(graph_kind, n, seed=seed, **graph_params)`` reads
+        nothing else, and ignores the seed for kinds that
+        :func:`~repro.experiments.registry.graph_seed_dependent` calls
+        seed-independent; tasks with equal graph keys therefore run on
+        equal graphs, whatever their algorithm, adversary, rule, start
+        mode, engine or churn.
+        """
+        seed = self.seed if graph_seed_dependent(self.graph_kind) else None
+        return (self.graph_kind, self.n, self.graph_params, seed)
 
     @property
     def derived_seed(self) -> int:
@@ -251,48 +270,42 @@ class RunTask:
 
 
 @dataclass(frozen=True)
-class CellBatch:
-    """All pending tasks of one science cell, dispatched as one unit.
+class GraphBatch:
+    """Pending tasks that run on one graph instance, dispatched as one unit.
 
-    The tasks share every grid axis except the seed (validated at
-    construction), in their original spec order.  A batch is a frozen
-    tuple of primitives like the tasks themselves, so it pickles
+    The tasks share one :attr:`RunTask.graph_key` (validated at
+    construction) and keep their original spec order.  A batch is a
+    frozen tuple of primitives like the tasks themselves, so it pickles
     cheaply to ``multiprocessing`` workers, where
-    :func:`repro.experiments.runner.execute_batch` builds the cell's
-    shared setup once and runs the seed loop against it.
+    :func:`repro.experiments.runner.execute_batch` builds the graph once
+    and runs every task against it.
     """
 
     tasks: Tuple[RunTask, ...]
 
     def __post_init__(self) -> None:
-        """Freeze the task tuple and reject mixed-cell batches."""
+        """Freeze the task tuple and reject mixed-graph batches."""
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.tasks:
             raise ValueError("a batch needs at least one task")
-        cells = {t.cell_key for t in self.tasks}
-        if len(cells) != 1:
+        graphs = {t.graph_key for t in self.tasks}
+        if len(graphs) != 1:
             raise ValueError(
-                f"batch mixes science cells: {sorted(cells)}"
+                f"batch mixes graph instances: {sorted(map(repr, graphs))}"
             )
 
-    @property
-    def cell_key(self) -> str:
-        """The science cell shared by every task in the batch."""
-        return self.tasks[0].cell_key
-
-    def split(self, max_size: int) -> List["CellBatch"]:
+    def split(self, max_size: int) -> List["GraphBatch"]:
         """Chop the batch into sub-batches of at most ``max_size`` tasks.
 
-        A sweep with fewer cells than workers would otherwise collapse
-        onto too few dispatch units and serialise; sub-batches trade a
-        few repeated per-cell setups for full worker occupancy (each
-        sub-batch still amortises setup over its own seeds).  Task
-        order is preserved across the returned batches.
+        Each sub-batch builds the graph again, so splitting trades
+        repeated setup for a smaller dispatch unit: less work lost to a
+        hard kill, and enough units to occupy every worker.  Task order
+        is preserved across the returned batches.
         """
         if max_size < 1:
             raise ValueError(f"max_size must be >= 1, got {max_size}")
         return [
-            CellBatch(self.tasks[i:i + max_size])
+            GraphBatch(self.tasks[i:i + max_size])
             for i in range(0, len(self.tasks), max_size)
         ]
 
@@ -300,16 +313,19 @@ class CellBatch:
         return len(self.tasks)
 
 
-def plan_batches(tasks: Sequence[RunTask]) -> List[CellBatch]:
-    """Group an ordered task list into one :class:`CellBatch` per cell.
+def plan_batches(tasks: Sequence[RunTask]) -> List[GraphBatch]:
+    """Group an ordered task list into dispatch units by graph instance.
 
-    Batches appear in the order their cells first appear in ``tasks``,
-    and each batch keeps its tasks in input order — so for a freshly
-    expanded spec every batch is the cell's seed axis in seed order,
-    while a resumed sweep yields batches holding only the missing
-    seeds.
+    Tasks sharing a :attr:`RunTask.graph_key` form one unit, split into
+    consecutive runs no larger than the largest science cell among
+    ``tasks`` (its :attr:`RunTask.cell_key` group): a hard kill
+    forfeits at most one cell's worth of finished tasks per in-flight
+    unit.  Units appear in the order their graphs first appear in
+    ``tasks`` and keep their tasks in input order; a resumed sweep's
+    units hold only the missing tasks.
     """
-    groups: Dict[str, List[RunTask]] = {}
+    groups: Dict[Tuple[Any, ...], List[RunTask]] = {}
+    cells: Dict[str, int] = {}
     seen_keys: set = set()
     for task in tasks:
         # A key collision here means two tasks would overwrite each
@@ -321,8 +337,15 @@ def plan_batches(tasks: Sequence[RunTask]) -> List[CellBatch]:
                 "share one resume-by-key record"
             )
         seen_keys.add(task.key)
-        groups.setdefault(task.cell_key, []).append(task)
-    return [CellBatch(tuple(group)) for group in groups.values()]
+        groups.setdefault(task.graph_key, []).append(task)
+        cell = task.cell_key
+        cells[cell] = cells.get(cell, 0) + 1
+    largest_cell = max(cells.values(), default=1)
+    return [
+        sub
+        for group in groups.values()
+        for sub in GraphBatch(tuple(group)).split(largest_cell)
+    ]
 
 
 def _coerce_named(cls, field: str, entry):

@@ -121,7 +121,8 @@ class BroadcastEngine:
             ``network``.  When given, the engine reuses its adjacency
             sequences (and, in the fast engine, its bitmasks) instead of
             re-deriving them — the batched sweep path compiles one
-            topology per science cell and shares it across every seed.
+            topology per graph instance and shares it across every task
+            of the dispatch unit.
             Must have been compiled from this exact ``network`` object.
     """
 

@@ -32,11 +32,15 @@ of per-node message lists:
   Strong Select), phase 1 asks only the round's scheduled active nodes
   to decide — a cached uid-to-node mask ANDed with the active mask —
   instead of every active process.
-* The per-message reference path is kept for the two places set algebra
-  cannot express: CR4 collisions at non-senders (the adversary must be
-  consulted with the full arrival list, reconstructed in the reference
-  engine's exact order) and payload-identity custody tracking (which
-  already operates on single delivered messages).
+* Set algebra cannot express two things, which keep per-message work:
+  CR4 collisions at non-senders and payload-identity custody tracking
+  (which already operates on single delivered messages).  When the
+  adversary has a real CR4 resolver, the arrival list of every
+  *contested* node (reached twice or more, not a sender, not crashed) is
+  built once per round by walking each sender's contested reach bits in
+  ascending sender order — the order the reference engine appends
+  arrivals in — and handed to the shared
+  :func:`~repro.sim.collision.resolve_reception`.
 
 Because the semantics are identical, the engines are interchangeable:
 :func:`repro.sim.engine.build_engine` dispatches on
@@ -72,10 +76,10 @@ class CompiledTopology:
 
     Everything an engine derives from the :class:`DualGraph` alone —
     the reference engine's flat adjacency sequences and the fast
-    engine's per-node bit and reach masks — is hoisted here, so a sweep
-    cell that runs many seeds on the same graph pays the derivation
-    once (:func:`repro.experiments.runner.execute_batch`) instead of
-    once per engine construction.
+    engine's per-node bit and reach masks — is hoisted here, so the
+    tasks a sweep runs on one graph instance pay the derivation once
+    (:func:`repro.experiments.runner.execute_batch`) instead of once
+    per engine construction.
 
     Instances are immutable after construction and engines only read
     them, so one compiled topology is safe to share across any number
@@ -198,10 +202,12 @@ class FastBroadcastEngine(BroadcastEngine):
         # order; rebuilt lazily after activations.
         self._triples: List[Tuple[int, Process, ProcessContext]] = []
         self._triples_dirty = True
-        # CR4 with the base-class resolver is always silence; detected
-        # once so the hot loop never builds arrival lists for it.
-        self._cr4_default_silence = (
-            type(self.adversary).resolve_cr4 is Adversary.resolve_cr4
+        # Whether CR4 collisions consult the adversary: the base-class
+        # resolver is always silence, so the hot loop builds no arrival
+        # lists for it.
+        self._consult_cr4 = (
+            self.config.collision_rule is CollisionRule.CR4
+            and type(self.adversary).resolve_cr4 is not Adversary.resolve_cr4
         )
         # One oblivious schedule shared by every process: phase 1 then
         # asks only the round's scheduled active nodes to decide.  The
@@ -333,6 +339,27 @@ class FastBroadcastEngine(BroadcastEngine):
             reached_once |= m
         single = reached_once & ~reached_multi
 
+        # CR4 with a real resolver consults the adversary once per
+        # contested node, with that node's arrivals in ascending sender
+        # order; every list is built here, in one walk over the senders.
+        contested_arrivals: Dict[int, List[Message]] = {}
+        if self._consult_cr4 and reached_multi:
+            contested = reached_multi & ~crashed_mask
+            for sender in senders:
+                contested &= ~bit[sender]
+            for sender, m in sender_reach.items():
+                hits = m & contested
+                msg = senders[sender]
+                while hits:
+                    low = hits & -hits
+                    node = low.bit_length() - 1
+                    arrivals = contested_arrivals.get(node)
+                    if arrivals is None:
+                        contested_arrivals[node] = [msg]
+                    else:
+                        arrivals.append(msg)
+                    hits ^= low
+
         # Nodes with exactly one arrival are the only ones whose
         # reception carries a Message; one shared Reception per sender
         # serves all of that sender's unique receivers (receptions are
@@ -368,7 +395,6 @@ class FastBroadcastEngine(BroadcastEngine):
         telemetry = self._telemetry
         obs_on = telemetry.enabled
         obs_delivered = obs_collisions = obs_silences = 0
-        obs_fallbacks = 0
         consults = [0]
 
         def counted_cr4(
@@ -393,7 +419,7 @@ class FastBroadcastEngine(BroadcastEngine):
         cr1 = rule is CollisionRule.CR1
         collision_on_multi = rule.provides_collision_detection
         silence_on_multi = rule is CollisionRule.CR3 or (
-            rule is CollisionRule.CR4 and self._cr4_default_silence
+            rule is CollisionRule.CR4 and not self._consult_cr4
         )
 
         if recording:
@@ -447,22 +473,14 @@ class FastBroadcastEngine(BroadcastEngine):
                 elif silence_on_multi:  # CR3, or CR4 default resolver
                     reception = SILENCE
                 else:
-                    # CR4 with a real adversary resolver: rebuild the
-                    # arrival list in reference order (ascending sender
-                    # node) and defer to the shared resolution path.
-                    if obs_on:
-                        obs_fallbacks += 1
-                    arrivals = [
-                        msg
-                        for s, msg in senders.items()
-                        if sender_reach[s] & b
-                    ]
+                    # A contested node under a real CR4 resolver: the
+                    # shared resolution path consults the adversary.
                     reception = resolve_reception(
                         rule,
                         node,
                         False,
                         None,
-                        arrivals,
+                        contested_arrivals[node],
                         cr4_resolver=cr4_resolver,
                     )
             else:
@@ -514,7 +532,6 @@ class FastBroadcastEngine(BroadcastEngine):
                 bin(reached_once & crashed_mask).count("1"),
             )
             telemetry.count("engine.cr4_consults", consults[0])
-            telemetry.count("engine.cr4_fallbacks", obs_fallbacks)
 
         record = RoundRecord(
             round_number=rnd,

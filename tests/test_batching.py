@@ -1,19 +1,22 @@
 """Batched sweep execution: equivalence, resume granularity, healing.
 
-The batching contract: grouping tasks into per-cell batches is *pure
+The batching contract: grouping tasks into per-graph batches is *pure
 scheduling*.  A batched sweep must emit records byte-identical to
 running :func:`execute_task` on every task, for any worker count; a
-batch interrupted mid-cell must resume with only its missing seeds;
-and torn-line healing must keep working under batch appends.
+batch interrupted midway must resume with only its missing tasks;
+each graph instance is built once per dispatch unit, and no unit
+holds more tasks than the largest pending science cell; and torn-line
+healing must keep working under batch appends.
 """
 
+import collections
 import json
 
 import pytest
 
 from repro.experiments import (
-    CellBatch,
     ExperimentSpec,
+    GraphBatch,
     SweepRunner,
     execute_batch,
     execute_task,
@@ -21,6 +24,7 @@ from repro.experiments import (
     plan_batches,
     register_graph,
 )
+from repro.experiments import runner as runner_module
 from repro.experiments.results import RunResult
 from repro.graphs import line
 from repro.sim import (
@@ -45,6 +49,36 @@ def grid_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**base)
 
 
+def adversarial_spec() -> ExperimentSpec:
+    """Seed-dependent graphs under CR4 with window churn: 16 cells of 3
+    seeds on 6 graph instances, 8 tasks each, round caps derived."""
+    return ExperimentSpec(
+        name="graphunits",
+        algorithms=["decay", ("harmonic", {"T": 2})],
+        graphs=[("gnp", 16), ("gray-zone", 16)],
+        adversaries=["random", "greedy"],
+        collision_rules=["CR4"],
+        engines=["fast"],
+        churns=[
+            "none", ("window", {"count": 2, "start": 3, "length": 5}),
+        ],
+        seeds=range(3),
+    )
+
+
+def count_builds(monkeypatch) -> list:
+    """Record the (kind, n, seed) of every graph the runner builds."""
+    calls = []
+    real = runner_module.build_graph
+
+    def counting(kind, n, seed=0, **params):
+        calls.append((kind, n, seed))
+        return real(kind, n, seed=seed, **params)
+
+    monkeypatch.setattr(runner_module, "build_graph", counting)
+    return calls
+
+
 def per_task(spec: ExperimentSpec) -> list:
     """The spec's records run one task at a time, key-sorted."""
     return sorted(
@@ -61,23 +95,44 @@ def sorted_lines(path) -> list:
 
 
 class TestPlanning:
-    def test_plan_batches_groups_by_cell(self):
+    def test_plan_batches_groups_by_graph(self):
         spec = grid_spec()
         tasks = spec.tasks()
         batches = plan_batches(tasks)
-        # 2 algorithms x 2 graphs x 2 rules = 8 cells of 3 seeds each.
+        # 2 algorithms x 2 rules x 3 seeds = 12 tasks on each of the two
+        # seed-independent graphs, split at the 3-seed cell size.
         assert len(batches) == 8
         assert all(len(b) == 3 for b in batches)
         assert sorted(t.key for b in batches for t in b.tasks) == sorted(
             t.key for t in tasks
         )
         for b in batches:
-            assert {t.cell_key for t in b.tasks} == {b.cell_key}
-            assert [t.seed for t in b.tasks] == [0, 1, 2]
-        # Batches appear in first-appearance order of their cells.
-        assert [b.cell_key for b in batches] == list(
-            dict.fromkeys(t.cell_key for t in tasks)
-        )
+            assert len({t.graph_key for t in b.tasks}) == 1
+        # Batches appear in first-appearance order of their graphs and
+        # keep the spec's task order inside each graph.
+        assert [t.key for b in batches for t in b.tasks] == [
+            t.key
+            for graph in dict.fromkeys(t.graph_key for t in tasks)
+            for t in tasks
+            if t.graph_key == graph
+        ]
+
+    def test_graph_key_drops_seed_only_for_seed_independent_kinds(self):
+        line_a, line_b = grid_spec(seeds=[4, 9]).tasks()[:2]
+        assert line_a.graph_key == line_b.graph_key
+        gnp_a, gnp_b = grid_spec(
+            graphs=[("gnp", 12)], seeds=[4, 9]
+        ).tasks()[:2]
+        assert gnp_a.graph_key != gnp_b.graph_key
+        # Everything but the graph inputs is ignored.
+        other = grid_spec(
+            algorithms=["decay"], adversaries=["random"],
+            collision_rules=["CR3"], engines=["reference"],
+            max_rounds=7, seeds=[4],
+        ).tasks()[0]
+        assert other.graph_key == line_a.graph_key
+        sized = grid_spec(graphs=[("line", 9)]).tasks()[0]
+        assert sized.graph_key != line_a.graph_key
 
     def test_cell_key_drops_only_the_seed(self):
         a, b = grid_spec(seeds=[4, 9]).tasks()[:2]
@@ -101,7 +156,9 @@ class TestPlanning:
         assert [t.key for s in subs for t in s.tasks] == [
             t.key for t in batch.tasks
         ]
-        assert all(s.cell_key == batch.cell_key for s in subs)
+        assert {t.graph_key for s in subs for t in s.tasks} == {
+            batch.tasks[0].graph_key
+        }
         with pytest.raises(ValueError, match="max_size"):
             batch.split(0)
 
@@ -135,12 +192,15 @@ class TestPlanning:
             spec
         )
 
-    def test_mixed_cell_batch_rejected(self):
+    def test_mixed_graph_batch_rejected(self):
         t1, t2 = grid_spec().tasks()[0], grid_spec().tasks()[-1]
-        with pytest.raises(ValueError, match="mixes science cells"):
-            CellBatch((t1, t2))
+        with pytest.raises(ValueError, match="mixes graph instances"):
+            GraphBatch((t1, t2))
         with pytest.raises(ValueError, match="at least one task"):
-            CellBatch(())
+            GraphBatch(())
+        # Different cells on one graph make a valid batch.
+        other_cell = grid_spec(algorithms=["decay"]).tasks()[0]
+        assert len(GraphBatch((t1, other_cell))) == 2
 
 
 class TestBatchExecution:
@@ -150,8 +210,9 @@ class TestBatchExecution:
                 execute_task(t) for t in batch.tasks
             ]
 
-    def test_batched_vs_per_task_identical_jsonl(self, tmp_path):
-        spec = grid_spec()
+    @pytest.mark.parametrize("make_spec", [grid_spec, adversarial_spec])
+    def test_batched_vs_per_task_identical_jsonl(self, tmp_path, make_spec):
+        spec = make_spec()
         files = {}
         for label, workers in (("serial", 1), ("pool", 2)):
             path = tmp_path / f"{label}.jsonl"
@@ -256,6 +317,101 @@ class TestBatchExecution:
         # healing only guarantees the next append starts fresh — so it
         # keeps being counted, never silently vanishes.
         assert store.health.skipped_lines == 1
+
+
+class TestGraphUnits:
+    def test_one_build_per_graph_unit(self, monkeypatch):
+        spec = adversarial_spec()
+        tasks = spec.tasks()
+        largest_cell = max(
+            collections.Counter(t.cell_key for t in tasks).values()
+        )
+        per_graph = collections.Counter(t.graph_key for t in tasks)
+        expected = sum(-(-c // largest_cell) for c in per_graph.values())
+        # 6 graph instances of 8 tasks, capped at 3: 3 units each.
+        assert (len(per_graph), largest_cell, expected) == (6, 3, 18)
+        calls = count_builds(monkeypatch)
+        SweepRunner(spec).run()
+        assert len(calls) == expected
+        assert len(set(calls)) == len(per_graph)
+
+    def test_seed_independent_graph_shared_across_cells(self, monkeypatch):
+        big = ExperimentSpec(
+            name="big",
+            algorithms=["round_robin"],
+            graphs=[("line", 8)],
+            adversaries=["none"],
+            seeds=range(4),
+        )
+        small = ExperimentSpec(
+            name="small",
+            algorithms=["round_robin", ("harmonic", {"T": 2})],
+            graphs=[("line", 8)],
+            adversaries=["greedy"],
+            seeds=range(2),
+        )
+        batches = plan_batches(big.tasks() + small.tasks())
+        assert [len(b) for b in batches] == [4, 4]
+        assert len({t.cell_key for t in batches[1].tasks}) == 2
+        calls = count_builds(monkeypatch)
+        result = SweepRunner([big, small]).run()
+        assert len(calls) == 2  # three cells, two units
+        monkeypatch.undo()
+        assert result.records == sorted(
+            per_task(big) + per_task(small), key=lambda r: r.key
+        )
+
+    def test_resume_runs_exactly_the_missing_keys(
+        self, tmp_path, monkeypatch
+    ):
+        spec = adversarial_spec()
+        path = tmp_path / "results.jsonl"
+        reference = SweepRunner(spec, results_path=str(path)).run()
+        # Every third record lost: the gaps cut through every unit.
+        lines = sorted_lines(path)
+        lost = {json.loads(ln)["key"] for ln in lines[::3]}
+        path.write_text(
+            "".join(
+                ln + "\n" for ln in lines
+                if json.loads(ln)["key"] not in lost
+            ),
+            encoding="utf-8",
+        )
+        ran = []
+        real = runner_module._execute_on
+
+        def recording(task, *args):
+            ran.append(task.key)
+            return real(task, *args)
+
+        monkeypatch.setattr(runner_module, "_execute_on", recording)
+        resumed = SweepRunner(spec, results_path=str(path)).run()
+        assert sorted(ran) == sorted(lost)
+        assert resumed.executed == len(lost)
+        assert resumed.records == reference.records
+
+    def test_no_unit_exceeds_largest_pending_cell(self):
+        spec = adversarial_spec()
+        tasks = spec.tasks()
+        # The full grid, a resume with uneven cells, and a resume that
+        # leaves one task per graph.
+        pendings = [
+            tasks,
+            [t for i, t in enumerate(tasks) if i % 5],
+            list({t.graph_key: t for t in tasks}.values()),
+        ]
+        for pending in pendings:
+            largest_cell = max(
+                collections.Counter(t.cell_key for t in pending).values()
+            )
+            for workers in (1, 2):
+                units = SweepRunner(spec, workers=workers)._plan_units(
+                    pending
+                )
+                assert max(len(u) for u in units) <= largest_cell
+                assert sorted(t.key for u in units for t in u.tasks) == (
+                    sorted(t.key for t in pending)
+                )
 
 
 class TestSeedDependenceRegistry:

@@ -111,6 +111,9 @@ def test_inline_sweep_flags_validated_like_a_spec(tmp_path):
 #: resume handles for results files already on disk, so validating
 #: specs against the registries must leave every one unchanged.
 SHIPPED_KEY_DIGESTS = {
+    "cr4_gnp_sweep.json": (
+        24, "7b650ec7dcab69420d87bbf83d0eb84f028bf0aaee0527bbf88cb1edfbf77d13"
+    ),
     "churn_sweep.json": (
         12, "59f7d0706977f3e3c3018ad74925d0cadd0566744e5c1aacb01398598a083004"
     ),
