@@ -10,7 +10,7 @@ remaining work through ``imap_unordered``.  Pending tasks are grouped
 into :class:`~repro.experiments.spec.GraphBatch` units by graph
 instance (:attr:`~repro.experiments.spec.RunTask.graph_key`), so each
 worker builds a graph and compiles its engine topology
-(:class:`~repro.sim.fast_engine.CompiledTopology`) once, then runs every
+(:class:`~repro.sim.engine.CompiledTopology`) once, then runs every
 task on that graph in a tight loop — every seed of a seed-independent
 kind, and every algorithm, adversary, rule and churn of one
 ``gnp``/``gray-zone`` draw (``benchmarks/bench_sweep.py`` measures the
@@ -89,8 +89,13 @@ from repro.experiments.spec import (
 )
 from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule
-from repro.sim.engine import EngineConfig, StartMode, build_engine
-from repro.sim.fast_engine import CompiledTopology, compile_topology
+from repro.sim.engine import (
+    CompiledTopology,
+    EngineConfig,
+    StartMode,
+    build_engine,
+    compile_topology,
+)
 from repro.sim.trace import ExecutionTrace
 from repro.store import ResultStore, StoreHealth, open_store
 

@@ -4,7 +4,7 @@ A *search cell* (:class:`SearchSettings`) is everything of a sweep task
 except the adversary — algorithm, graph, collision rule, start mode,
 engine seed, round cap.  Evaluation mirrors the batched sweep runner's
 per-cell economics: the graph is built and its
-:class:`~repro.sim.fast_engine.CompiledTopology` compiled **once** per
+:class:`~repro.sim.engine.CompiledTopology` compiled **once** per
 :class:`EvaluationContext`, then every candidate genome runs against the
 shared pair — on the bitmask fast engine unless ``settings.engine``
 asks for the reference oracle.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import multiprocessing
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.runner import (
     ALGORITHMS,
@@ -47,7 +47,7 @@ from repro.sim.engine import (
     StartMode,
     build_engine,
 )
-from repro.sim.fast_engine import CompiledTopology, compile_topology
+from repro.sim.engine import CompiledTopology, compile_topology
 from repro.sim.trace import ExecutionTrace
 
 @dataclass(frozen=True)
@@ -395,11 +395,3 @@ class PopulationEvaluator:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-#: Mapping used by callers that need scores keyed by fingerprint.
-def scores_by_fingerprint(
-    scores: Sequence[CandidateScore],
-) -> Dict[str, CandidateScore]:
-    """Index a score list by each genome's content fingerprint."""
-    return {s.genome.fingerprint: s for s in scores}

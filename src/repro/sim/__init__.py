@@ -3,17 +3,15 @@
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.engine import (
     BroadcastEngine,
+    CompiledTopology,
     ENGINE_NAMES,
     EngineConfig,
     StartMode,
     build_engine,
+    compile_topology,
     run_broadcast,
 )
-from repro.sim.fast_engine import (
-    CompiledTopology,
-    FastBroadcastEngine,
-    compile_topology,
-)
+from repro.sim.fast_engine import FastBroadcastEngine
 from repro.sim.faults import (
     ChurnSchedule,
     generate_churn,

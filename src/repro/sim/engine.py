@@ -29,23 +29,13 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    TYPE_CHECKING,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.sim.fast_engine import CompiledTopology
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.adversaries.base import Adversary, AdversaryView, NoDeliveryAdversary
 from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule, resolve_reception
 from repro.sim.faults import ChurnSchedule
-from repro.obs.telemetry import current as _current_telemetry
+from repro.obs.telemetry import Telemetry, current as _current_telemetry
 from repro.sim.messages import Message, Reception, SILENCE
 from repro.sim.process import Process, ProcessContext
 from repro.sim.trace import ExecutionTrace, RoundRecord
@@ -104,6 +94,108 @@ class EngineConfig:
     churn: Optional[ChurnSchedule] = None
 
 
+class CompiledTopology:
+    """Reusable per-graph precompilation shared by both engines.
+
+    Everything an engine derives from the :class:`DualGraph` alone —
+    the reference engine's flat adjacency sequences and the fast
+    engine's per-node bit and reach masks — is hoisted here, so the
+    tasks a sweep runs on one graph instance pay the derivation once
+    (:func:`repro.experiments.runner.execute_batch`) instead of once
+    per engine construction.  An engine built without one compiles its
+    own.
+
+    Instances are immutable after construction and engines only read
+    them, so one compiled topology is safe to share across any number
+    of sequential engine instances.  A topology is bound to the graph
+    object it was compiled from; the engines reject a mismatched pair.
+
+    Attributes:
+        graph: The dual graph this topology was compiled from.
+        reliable_out_seq: Per-node sorted tuple of reliable
+            out-neighbours (indexed by node).
+        unreliable_only_seq: Per-node frozenset of unreliable-only
+            out-neighbours (indexed by node).
+        bit: Per-node single-bit mask ``1 << v``.
+        reach_mask: Per-node self-plus-reliable-out bitmask — who a
+            transmission from ``v`` is guaranteed to reach.
+    """
+
+    __slots__ = (
+        "graph",
+        "reliable_out_seq",
+        "unreliable_only_seq",
+        "bit",
+        "reach_mask",
+    )
+
+    def __init__(self, graph: DualGraph) -> None:
+        self.graph = graph
+        self.reliable_out_seq: List[tuple] = [
+            tuple(sorted(graph.reliable_out(v))) for v in graph.nodes
+        ]
+        self.unreliable_only_seq: List[FrozenSet[int]] = [
+            graph.unreliable_only_out(v) for v in graph.nodes
+        ]
+        bit = [1 << v for v in graph.nodes]
+        self.bit: List[int] = bit
+        self.reach_mask: List[int] = [
+            bit[v] | sum(bit[u] for u in self.reliable_out_seq[v])
+            for v in graph.nodes
+        ]
+
+
+def compile_topology(graph: DualGraph) -> CompiledTopology:
+    """Precompile a graph's engine structures for reuse across runs."""
+    return CompiledTopology(graph)
+
+
+def fold_round_counters(
+    telemetry: Telemetry,
+    n: int,
+    senders: Dict[int, Message],
+    reached_once: int,
+    reached_multi: int,
+    crashed_mask: int,
+    cr4: bool,
+) -> None:
+    """Fold one round's dual-graph quantities into the engine counters.
+
+    Bit ``v`` of ``reached_once`` means at least one transmission
+    reached node ``v`` this round (a sender always reaches itself), of
+    ``reached_multi`` that two or more did, and of ``crashed_mask``
+    that ``v`` is down.  The counters are functions of these masks
+    alone, not of the receptions an engine happens to visit, so every
+    engine reports the same values for the same execution:
+
+    * ``engine.delivered`` — live nodes exactly one transmission reached;
+    * ``engine.collisions`` — live nodes two or more reached, under
+      every rule (CR1–CR4 only decide what such a node observes);
+    * ``engine.silences`` — live nodes no transmission reached;
+    * ``engine.crashed_drops`` — crashed nodes some transmission reached;
+    * ``engine.cr4_consults`` — under CR4, live non-senders two or more
+      reached: the receptions the rule leaves to the adversary.
+    """
+    live_reached = reached_once & ~crashed_mask
+    live_multi = reached_multi & ~crashed_mask
+    reached = live_reached.bit_count()
+    collisions = live_multi.bit_count()
+    consults = 0
+    if cr4 and live_multi:
+        sender_mask = 0
+        for sender in senders:
+            sender_mask |= 1 << sender
+        consults = (live_multi & ~sender_mask).bit_count()
+    count = telemetry.count
+    count("engine.rounds")
+    count("engine.senders", len(senders))
+    count("engine.delivered", reached - collisions)
+    count("engine.collisions", collisions)
+    count("engine.silences", n - crashed_mask.bit_count() - reached)
+    count("engine.crashed_drops", (reached_once & crashed_mask).bit_count())
+    count("engine.cr4_consults", consults)
+
+
 class BroadcastEngine:
     """Runs one algorithm on one network under one adversary.
 
@@ -116,14 +208,11 @@ class BroadcastEngine:
         config: Execution parameters.
         payload: The broadcast content handed to the source before round 1
             (must not be ``None``).
-        topology: Optional pre-compiled
-            :class:`~repro.sim.fast_engine.CompiledTopology` for
-            ``network``.  When given, the engine reuses its adjacency
-            sequences (and, in the fast engine, its bitmasks) instead of
-            re-deriving them — the batched sweep path compiles one
-            topology per graph instance and shares it across every task
-            of the dispatch unit.
-            Must have been compiled from this exact ``network`` object.
+        topology: Optional pre-compiled :class:`CompiledTopology` for
+            ``network`` (one is compiled when omitted).  The batched
+            sweep path compiles one topology per graph instance and
+            shares it across every task of the dispatch unit.  Must have
+            been compiled from this exact ``network`` object.
     """
 
     def __init__(
@@ -133,7 +222,7 @@ class BroadcastEngine:
         adversary: Optional[Adversary] = None,
         config: Optional[EngineConfig] = None,
         payload: object = "broadcast-message",
-        topology: Optional["CompiledTopology"] = None,
+        topology: Optional[CompiledTopology] = None,
     ) -> None:
         if payload is None:
             raise ValueError("broadcast payload must not be None")
@@ -189,22 +278,13 @@ class BroadcastEngine:
 
         # Hot-path precomputation: the per-round loops index these flat
         # sequences instead of going through DualGraph accessor calls.
-        # A shared CompiledTopology already holds them (one derivation
-        # per sweep cell instead of one per engine).
+        if topology is None:
+            topology = CompiledTopology(network)
         self._topology = topology
-        if topology is not None:
-            self._reliable_out_seq: List[tuple] = topology.reliable_out_seq
-            self._unreliable_only_seq: List[FrozenSet[int]] = (
-                topology.unreliable_only_seq
-            )
-        else:
-            self._reliable_out_seq = [
-                tuple(sorted(network.reliable_out(v)))
-                for v in network.nodes
-            ]
-            self._unreliable_only_seq = [
-                network.unreliable_only_out(v) for v in network.nodes
-            ]
+        self._reliable_out_seq: List[tuple] = topology.reliable_out_seq
+        self._unreliable_only_seq: List[FrozenSet[int]] = (
+            topology.unreliable_only_seq
+        )
         self._context_seq: List[ProcessContext] = [
             self._contexts[v] for v in network.nodes
         ]
@@ -453,23 +533,6 @@ class BroadcastEngine:
         def cr4(node: int, msgs: List[Message]) -> Optional[Message]:
             return self.adversary.resolve_cr4(view, node, msgs)
 
-        # Observability: one hoisted boolean when disabled; when a sink
-        # is installed the round tallies local ints and folds them into
-        # counters once per round.  Pure observation — the resolver
-        # wrapper delegates unchanged, so trace bytes cannot move.
-        telemetry = self._telemetry
-        obs_on = telemetry.enabled
-        obs_delivered = obs_collisions = obs_silences = obs_drops = 0
-        consults = [0]
-
-        def counted_cr4(
-            node: int, msgs: List[Message]
-        ) -> Optional[Message]:
-            consults[0] += 1
-            return cr4(node, msgs)
-
-        cr4_resolver = counted_cr4 if obs_on else cr4
-
         if recording:
             candidates: Sequence[int] = network.nodes
         elif len(self._active_sorted) == network.n:
@@ -493,8 +556,6 @@ class BroadcastEngine:
                 # A crashed radio hears nothing and is never consulted
                 # for — arrivals at its position dissolve (recorded as
                 # silence), and no message can wake it.
-                if obs_on and node in arrivals:
-                    obs_drops += 1
                 if receptions is not None:
                     receptions[node] = SILENCE
                 continue
@@ -511,17 +572,10 @@ class BroadcastEngine:
                     own_message is not None,
                     own_message,
                     node_arrivals,
-                    cr4_resolver=cr4_resolver,
+                    cr4_resolver=cr4,
                 )
             if receptions is not None:
                 receptions[node] = reception
-            if obs_on:
-                if reception.is_message:
-                    obs_delivered += 1
-                elif reception.is_collision:
-                    obs_collisions += 1
-                else:
-                    obs_silences += 1
             if node not in self._active:
                 if reception.is_message:
                     newly_active.append(node)
@@ -536,14 +590,23 @@ class BroadcastEngine:
                     self._mark_informed(node, rnd)
                     newly_informed.append(node)
 
-        if obs_on:
-            telemetry.count("engine.rounds")
-            telemetry.count("engine.senders", len(senders))
-            telemetry.count("engine.delivered", obs_delivered)
-            telemetry.count("engine.collisions", obs_collisions)
-            telemetry.count("engine.silences", obs_silences)
-            telemetry.count("engine.crashed_drops", obs_drops)
-            telemetry.count("engine.cr4_consults", consults[0])
+        # Observability reads the arrivals, never feeds trace state.
+        telemetry = self._telemetry
+        if telemetry.enabled:
+            reached_once = reached_multi = 0
+            for node, node_arrivals in arrivals.items():
+                reached_once |= 1 << node
+                if len(node_arrivals) > 1:
+                    reached_multi |= 1 << node
+            fold_round_counters(
+                telemetry,
+                network.n,
+                senders,
+                reached_once,
+                reached_multi,
+                sum(1 << node for node in crashed_set),
+                rule is CollisionRule.CR4,
+            )
 
         record = RoundRecord(
             round_number=rnd,
@@ -558,12 +621,12 @@ class BroadcastEngine:
         self.trace.rounds.append(record)
         return record
 
+    # Both methods spell Reception.is_message as `.message is not None`:
+    # a MESSAGE reception always carries a message, the other kinds never
+    # do, and the attribute test is cheaper on the hot path.
     def _carries_payload(self, reception: Reception) -> bool:
-        return (
-            reception.is_message
-            and reception.message is not None
-            and reception.message.payload == self.payload
-        )
+        msg = reception.message
+        return msg is not None and msg.payload == self.payload
 
     def _deliver(
         self, node: int, process: Process, reception: Reception
@@ -571,7 +634,8 @@ class BroadcastEngine:
         # Custody of the broadcast payload is tracked by the trace, not by
         # Process.has_message alone, because processes may exchange
         # payload-free messages (their Process.deliver still runs).
-        if reception.is_message and reception.message.payload != self.payload:
+        msg = reception.message
+        if msg is not None and msg.payload != self.payload:
             # Deliver without transferring payload custody.
             process.on_reception(self._contexts[node], reception)
             return
@@ -643,17 +707,16 @@ def build_engine(
     adversary: Optional[Adversary] = None,
     config: Optional[EngineConfig] = None,
     payload: object = "broadcast-message",
-    topology: Optional["CompiledTopology"] = None,
+    topology: Optional[CompiledTopology] = None,
 ) -> BroadcastEngine:
     """Instantiate the engine selected by ``config.engine``.
 
     ``"reference"`` yields :class:`BroadcastEngine`; ``"fast"`` yields
     :class:`repro.sim.fast_engine.FastBroadcastEngine` (a subclass whose
     traces are bit-identical — the two are interchangeable wherever an
-    engine is consumed).  ``topology``
-    optionally shares one pre-compiled
-    :class:`~repro.sim.fast_engine.CompiledTopology` across engines
-    built on the same graph.
+    engine is consumed).  ``topology`` optionally shares one
+    pre-compiled :class:`CompiledTopology` across engines built on the
+    same graph.
     """
     config = config if config is not None else EngineConfig()
     if config.engine == "reference":

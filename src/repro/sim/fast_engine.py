@@ -55,7 +55,6 @@ from typing import (
     Any,
     Collection,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -63,67 +62,20 @@ from typing import (
 )
 
 from repro.adversaries.base import Adversary
-from repro.graphs.dualgraph import DualGraph
 from repro.sim.collision import CollisionRule, resolve_reception
-from repro.sim.engine import BroadcastEngine
+from repro.sim.engine import (
+    BroadcastEngine,
+    CompiledTopology,
+    compile_topology,
+    fold_round_counters,
+)
 from repro.sim.messages import COLLISION, Message, Reception, SILENCE, received
 from repro.sim.process import Process, ProcessContext, SendSchedule
 from repro.sim.trace import RoundRecord
 
-
-class CompiledTopology:
-    """Reusable per-graph precompilation shared by both engines.
-
-    Everything an engine derives from the :class:`DualGraph` alone —
-    the reference engine's flat adjacency sequences and the fast
-    engine's per-node bit and reach masks — is hoisted here, so the
-    tasks a sweep runs on one graph instance pay the derivation once
-    (:func:`repro.experiments.runner.execute_batch`) instead of once
-    per engine construction.
-
-    Instances are immutable after construction and engines only read
-    them, so one compiled topology is safe to share across any number
-    of sequential engine instances.  A topology is bound to the graph
-    object it was compiled from; the engines reject a mismatched pair.
-
-    Attributes:
-        graph: The dual graph this topology was compiled from.
-        reliable_out_seq: Per-node sorted tuple of reliable
-            out-neighbours (indexed by node).
-        unreliable_only_seq: Per-node frozenset of unreliable-only
-            out-neighbours (indexed by node).
-        bit: Per-node single-bit mask ``1 << v``.
-        reach_mask: Per-node self-plus-reliable-out bitmask — who a
-            transmission from ``v`` is guaranteed to reach.
-    """
-
-    __slots__ = (
-        "graph",
-        "reliable_out_seq",
-        "unreliable_only_seq",
-        "bit",
-        "reach_mask",
-    )
-
-    def __init__(self, graph: DualGraph) -> None:
-        self.graph = graph
-        self.reliable_out_seq: List[tuple] = [
-            tuple(sorted(graph.reliable_out(v))) for v in graph.nodes
-        ]
-        self.unreliable_only_seq: List[FrozenSet[int]] = [
-            graph.unreliable_only_out(v) for v in graph.nodes
-        ]
-        bit = [1 << v for v in graph.nodes]
-        self.bit: List[int] = bit
-        self.reach_mask: List[int] = [
-            bit[v] | sum(bit[u] for u in self.reliable_out_seq[v])
-            for v in graph.nodes
-        ]
-
-
-def compile_topology(graph: DualGraph) -> CompiledTopology:
-    """Precompile a graph's engine structures for reuse across runs."""
-    return CompiledTopology(graph)
+# The shared topology compiler lives beside the reference engine and
+# stays importable from here.
+__all__ = ["CompiledTopology", "FastBroadcastEngine", "compile_topology"]
 
 
 def _observes_non_messages(process: Process) -> bool:
@@ -172,20 +124,11 @@ class FastBroadcastEngine(BroadcastEngine):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         network = self.network
-        topology = self._topology
-        if topology is not None:
-            bit = topology.bit
-            self._bit: List[int] = bit
-            self._reach_mask: List[int] = topology.reach_mask
-        else:
-            bit = [1 << v for v in network.nodes]
-            self._bit = bit
-            # Per-node reach mask: the sender itself plus its reliable
-            # out-neighbours ("its message reaches ... and v itself").
-            self._reach_mask = [
-                bit[v] | sum(bit[u] for u in self._reliable_out_seq[v])
-                for v in network.nodes
-            ]
+        bit = self._topology.bit
+        self._bit: List[int] = bit
+        # Per-node reach mask: the sender itself plus its reliable
+        # out-neighbours ("its message reaches ... and v itself").
+        self._reach_mask: List[int] = self._topology.reach_mask
         # Nodes whose process observes silence/collision: they keep the
         # reference engine's every-round delivery discipline.
         self._observer_mask = sum(
@@ -237,21 +180,6 @@ class FastBroadcastEngine(BroadcastEngine):
     def _recover_node(self, node: int, rnd: int) -> None:
         super()._recover_node(node, rnd)
         self._crashed_mask &= ~self._bit[node]
-
-    def _deliver(
-        self, node: int, process: Process, reception: Reception
-    ) -> None:
-        # Same semantics as the reference implementation, spelled with
-        # attribute tests instead of property calls (hot path).
-        msg = reception.message
-        if msg is not None and msg.payload != self.payload:
-            process.on_reception(self._contexts[node], reception)
-            return
-        process.deliver(self._contexts[node], reception)
-
-    def _carries_payload(self, reception: Reception) -> bool:
-        msg = reception.message
-        return msg is not None and msg.payload == self.payload
 
     def _active_triples(self) -> List[Tuple[int, Process, ProcessContext]]:
         if self._triples_dirty:
@@ -387,24 +315,6 @@ class FastBroadcastEngine(BroadcastEngine):
         def cr4(node: int, msgs: List[Message]) -> Optional[Message]:
             return self.adversary.resolve_cr4(view, node, msgs)
 
-        # Observability (reference-engine parity: one hoisted boolean
-        # when off, per-visit tallies when on, nothing feeding trace
-        # state).  Counters are implementation-level — the mask path
-        # visits a different candidate set than the reference loop, so
-        # per-engine totals are comparable only within an engine.
-        telemetry = self._telemetry
-        obs_on = telemetry.enabled
-        obs_delivered = obs_collisions = obs_silences = 0
-        consults = [0]
-
-        def counted_cr4(
-            node: int, msgs: List[Message]
-        ) -> Optional[Message]:
-            consults[0] += 1
-            return cr4(node, msgs)
-
-        cr4_resolver = counted_cr4 if obs_on else cr4
-
         receptions: Optional[Dict[int, Reception]] = (
             {} if recording else None
         )
@@ -481,7 +391,7 @@ class FastBroadcastEngine(BroadcastEngine):
                         False,
                         None,
                         contested_arrivals[node],
-                        cr4_resolver=cr4_resolver,
+                        cr4_resolver=cr4,
                     )
             else:
                 # Exactly one arrival: a lone sender hears itself (CR1's
@@ -491,13 +401,6 @@ class FastBroadcastEngine(BroadcastEngine):
 
             if receptions is not None:
                 receptions[node] = reception
-            if obs_on:
-                if reception.message is not None:
-                    obs_delivered += 1
-                elif reception.is_collision:
-                    obs_collisions += 1
-                else:
-                    obs_silences += 1
             # `.message is not None` is the cheap attribute-level spelling
             # of Reception.is_message (a MESSAGE reception always carries
             # a message; the other kinds never do).
@@ -521,17 +424,17 @@ class FastBroadcastEngine(BroadcastEngine):
                     self._mark_informed(node, rnd)
                     newly_informed.append(node)
 
-        if obs_on:
-            telemetry.count("engine.rounds")
-            telemetry.count("engine.senders", len(senders))
-            telemetry.count("engine.delivered", obs_delivered)
-            telemetry.count("engine.collisions", obs_collisions)
-            telemetry.count("engine.silences", obs_silences)
-            telemetry.count(
-                "engine.crashed_drops",
-                bin(reached_once & crashed_mask).count("1"),
+        # Observability reads the arrival masks, never feeds trace state.
+        if self._telemetry.enabled:
+            fold_round_counters(
+                self._telemetry,
+                network.n,
+                senders,
+                reached_once,
+                reached_multi,
+                crashed_mask,
+                rule is CollisionRule.CR4,
             )
-            telemetry.count("engine.cr4_consults", consults[0])
 
         record = RoundRecord(
             round_number=rnd,

@@ -9,6 +9,8 @@ suites pin pointwise:
 * **Trace equality** — the reference and fast engines produce
   byte-identical serialized traces (``trace_to_json``) for the same
   inputs, recorded receptions included.
+* **Counter equality** — the engines' ``engine.*`` telemetry counters
+  are equal, since both fold the same dual-graph quantities.
 * **Semantics** — the recorded execution passes the independent
   Section 2.1 checker (``repro.sim.validation``), which shares no code
   with any engine.
@@ -41,6 +43,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.runner import make_processes
 from repro.experiments.registry import build_adversary
 from repro.graphs.dualgraph import DualGraph
+from repro.obs import RecordingTelemetry, use
 from repro.search import GenomeSpace
 from repro.sim import (
     ChurnSchedule,
@@ -204,6 +207,14 @@ def run_one(*args, **kwargs):
     return build_one(*args, **kwargs).run()
 
 
+def run_counted(*args, **kwargs):
+    """Run one engine under a recording sink: ``(trace, engine counters)``."""
+    telemetry = RecordingTelemetry()
+    with use(telemetry):
+        trace = run_one(*args, **kwargs)
+    return trace, telemetry.counters
+
+
 @given(
     graph=dual_graphs(),
     algorithm=st.sampled_from(ALGORITHMS),
@@ -216,11 +227,13 @@ def run_one(*args, **kwargs):
 def test_engines_agree_and_pass_validation(
     graph, algorithm, adversary_kind, rule, start_mode, seed, max_rounds
 ):
-    """reference ≡ fast, byte for byte, and validator-clean."""
+    """reference ≡ fast, byte for byte and counter for counter, and
+    validator-clean."""
     serialized = {}
+    counters = {}
     reference = None
     for engine in ("reference", "fast"):
-        trace = run_one(
+        trace, counters[engine] = run_counted(
             engine, graph, algorithm, adversary_kind, rule,
             start_mode, seed, max_rounds, record=True,
         )
@@ -228,6 +241,7 @@ def test_engines_agree_and_pass_validation(
         if engine == "reference":
             reference = trace
     assert serialized["fast"] == serialized["reference"]
+    assert counters["fast"] == counters["reference"]
     # One validation suffices: the traces are byte-identical.
     assert validate_execution(reference, graph, rule, start_mode) == []
 
@@ -250,9 +264,10 @@ def test_engines_agree_under_churn(
     schedules, and the churn-aware validator accepts the trace."""
     graph, churn = graph_and_churn
     serialized = {}
+    counters = {}
     reference = None
     for engine in ("reference", "fast"):
-        trace = run_one(
+        trace, counters[engine] = run_counted(
             engine, graph, algorithm, adversary_kind, rule,
             start_mode, seed, max_rounds, record=True, churn=churn,
         )
@@ -260,6 +275,7 @@ def test_engines_agree_under_churn(
         if engine == "reference":
             reference = trace
     assert serialized["fast"] == serialized["reference"]
+    assert counters["fast"] == counters["reference"]
     assert validate_execution(
         reference, graph, rule, start_mode, churn=churn
     ) == []

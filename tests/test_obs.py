@@ -39,7 +39,8 @@ from repro.obs import (
     validate_event,
     worker_event_paths,
 )
-from repro.sim import CollisionRule
+from repro.sim import CollisionRule, Message
+from repro.sim.engine import fold_round_counters
 
 ENGINES = ("reference", "fast")
 
@@ -100,6 +101,107 @@ class TestTraceNeutrality:
         ]
         assert run_event["engine"] == "reference"
         assert run_event["rounds"] == len(trace.rounds)
+
+
+#: Window churn for the counter tests: 6 nodes down in rounds 2–21.
+_WINDOW = {"count": 6, "start": 2, "length": 20}
+
+
+def _engine_counters(engine, rule, adversary_kind, churn_kind):
+    """Run harmonic on gnp n=30 under a recording sink; return
+    ``(n, rounds run, engine.* counters)``."""
+    n, cap = 30, 120
+    graph = corpus_graph("gnp", n, seed=3)
+    params = _WINDOW if churn_kind == "window" else {}
+    churn = build_churn(churn_kind, n=n, rounds=cap, seed=3, **params)
+    telemetry = RecordingTelemetry()
+    with use(telemetry):
+        trace = broadcast(
+            graph,
+            "harmonic",
+            adversary=build_adversary(adversary_kind, seed=3),
+            seed=3,
+            engine=engine,
+            collision_rule=rule,
+            max_rounds=cap,
+            churn=churn,
+        )
+    counters = {
+        name: value
+        for name, value in telemetry.counters.items()
+        if name.startswith("engine.")
+    }
+    return n, len(trace.rounds), counters
+
+
+class TestEngineCounters:
+    """The engine counters mean dual-graph quantities, so they are equal
+    across engines and add up to every live node of every round."""
+
+    @pytest.mark.parametrize("churn_kind", ["none", "window"])
+    @pytest.mark.parametrize("adversary_kind", ["none", "random"])
+    @pytest.mark.parametrize("rule", list(CollisionRule))
+    def test_counters_equal_across_engines(
+        self, rule, adversary_kind, churn_kind
+    ):
+        n, rounds, reference = _engine_counters(
+            "reference", rule, adversary_kind, churn_kind
+        )
+        _, fast_rounds, fast = _engine_counters(
+            "fast", rule, adversary_kind, churn_kind
+        )
+        assert fast_rounds == rounds
+        assert fast == reference
+        assert reference["engine.rounds"] == rounds
+        # Every live node of every round was reached once, reached
+        # twice or more, or not reached.
+        live_node_rounds = n * rounds
+        if churn_kind == "none":
+            assert reference["engine.crashed_drops"] == 0
+        else:
+            assert rounds > _WINDOW["start"] + _WINDOW["length"]
+            live_node_rounds -= _WINDOW["count"] * _WINDOW["length"]
+            assert reference["engine.crashed_drops"] > 0
+        assert (
+            reference["engine.delivered"]
+            + reference["engine.collisions"]
+            + reference["engine.silences"]
+        ) == live_node_rounds
+        # A collision is >=2 transmissions reaching a node, whatever the
+        # rule then lets the node observe.
+        assert reference["engine.collisions"] > 0
+        consults = reference["engine.cr4_consults"]
+        if rule is CollisionRule.CR4:
+            assert 0 < consults <= reference["engine.collisions"]
+        else:
+            assert consults == 0
+
+    @pytest.mark.parametrize("cr4", [True, False])
+    def test_fold_definitions(self, cr4):
+        # n=6: senders 0 and 1 each reached twice, node 2 once, node 3
+        # twice, node 4 reached but crashed, node 5 not reached.
+        senders = {
+            v: Message(payload="p", sender=v, round_sent=1) for v in (0, 1)
+        }
+        telemetry = RecordingTelemetry()
+        fold_round_counters(
+            telemetry,
+            6,
+            senders,
+            reached_once=0b011111,
+            reached_multi=0b001011,
+            crashed_mask=0b010000,
+            cr4=cr4,
+        )
+        assert telemetry.counters == {
+            "engine.rounds": 1,
+            "engine.senders": 2,
+            "engine.delivered": 1,
+            "engine.collisions": 3,
+            "engine.silences": 1,
+            "engine.crashed_drops": 1,
+            "engine.cr4_consults": 1 if cr4 else 0,
+        }
 
 
 class TestTelemetryInstall:
